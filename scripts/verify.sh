@@ -13,13 +13,22 @@ ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 echo "== tier 1: deterministic fuzz sweep (500 scenarios) =="
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --corpus tests/fuzz_corpus
+# Targeted vector-mode sweeps over 4-way shards for the families whose
+# extracted SQL runs the hash join (T4 joins with residuals) and the
+# top-N Sort/Limit (argmax -> ORDER BY ... LIMIT 1).
+./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family join \
+  --exec-mode vector --shards 4
+./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family argmax \
+  --exec-mode vector --shards 4
 
 echo "== sanitizers: ASan+UBSan bounded fuzz tests =="
 cmake --preset asan >/dev/null
 cmake --build build-asan -j"$(nproc)" --target fuzz_test fuzz_eqsql \
-  sql_roundtrip_test null_semantics_test
+  sql_roundtrip_test null_semantics_test concurrency_test
+# ServerStress includes concurrent batching sessions: parameter tables
+# dropped while other sessions gather table statistics.
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-  -R 'Fuzz|SqlRoundTrip|NullSemantics'
+  -R 'Fuzz|SqlRoundTrip|NullSemantics|ServerStress'
 ./build-asan/src/fuzz/fuzz_eqsql --seed 99 --iters 100 \
   --corpus tests/fuzz_corpus
 

@@ -283,6 +283,413 @@ std::optional<std::string> BareScanColumn(const std::string& name,
   return table.schema().column(*idx).name;
 }
 
+// ---------------------------------------------------------------------------
+// Join machinery shared by the hash join and the index nested-loop join.
+
+/// A join predicate split into hashable equi-key pairs (each side
+/// referencing only its own input) and the remaining conjuncts, in
+/// predicate order.
+struct JoinConjuncts {
+  std::vector<ScalarExprPtr> left_keys;
+  std::vector<ScalarExprPtr> right_keys;
+  std::vector<ScalarExprPtr> residual;
+};
+
+/// The one conjunct classifier both join algorithms use, so their key
+/// sets, residuals, null-key handling and output order agree.
+JoinConjuncts ClassifyJoinConjuncts(const ScalarExprPtr& pred,
+                                    const Schema& left, const Schema& right) {
+  JoinConjuncts out;
+  std::vector<ScalarExprPtr> conjuncts;
+  SplitConjuncts(pred, &conjuncts);
+  for (const ScalarExprPtr& c : conjuncts) {
+    if (c->op() == ScalarOp::kEq) {
+      const ScalarExprPtr& a = c->child(0);
+      const ScalarExprPtr& b = c->child(1);
+      if (HasColumnRef(a) && HasColumnRef(b)) {
+        if (AllRefsResolve(a, left) && AllRefsResolve(b, right)) {
+          out.left_keys.push_back(a);
+          out.right_keys.push_back(b);
+          continue;
+        }
+        if (AllRefsResolve(b, left) && AllRefsResolve(a, right)) {
+          out.left_keys.push_back(b);
+          out.right_keys.push_back(a);
+          continue;
+        }
+      }
+    }
+    out.residual.push_back(c);
+  }
+  return out;
+}
+
+/// One side-only residual term's result for every row of its side,
+/// evaluated in batches before the probe. Errors are kept per row, not
+/// raised: only a key-matching pair whose fold reaches the term reads
+/// them, so a row that matches nothing never surfaces its error.
+class SideTermLanes {
+ public:
+  SideTermLanes(const CompiledExpr& expr, const std::vector<Row>& rows)
+      : tags_(rows.size(), kOther) {
+    Vec v;
+    for (size_t off = 0; off < rows.size(); off += kBatchCapacity) {
+      const size_t cnt = std::min(kBatchCapacity, rows.size() - off);
+      expr.Eval(rows.data() + off, cnt, &v);
+      for (size_t i = 0; i < cnt; ++i) {
+        if (v.tag == Vec::Tag::kBool) {
+          tags_[off + i] = v.bools[i] != 0 ? kTrue : kFalse;
+        } else if (v.ErrAt(i)) {
+          other_.emplace(off + i, v.ErrStatus(i));
+        } else if (Value x = v.At(i); x.is_bool()) {
+          tags_[off + i] = x.AsBool() ? kTrue : kFalse;
+        } else {
+          other_.emplace(off + i, std::move(x));
+        }
+      }
+    }
+  }
+
+  Result<Value> At(size_t row) const {
+    switch (tags_[row]) {
+      case kFalse:
+        return Value::Bool(false);
+      case kTrue:
+        return Value::Bool(true);
+      default:
+        return other_.at(row);
+    }
+  }
+
+ private:
+  enum Tag : uint8_t { kFalse, kTrue, kOther };
+  std::vector<uint8_t> tags_;
+  /// NULLs, non-boolean values and errors: rare, so kept sparse.
+  std::unordered_map<size_t, Result<Value>> other_;
+};
+
+/// One residual conjunct of an equi-join, in predicate order. A term
+/// whose every column resolves (in the joined schema) to one input and
+/// that compiles is side-only: it is evaluated over that side's row
+/// alone, never over a copied joined row. Other terms (both sides,
+/// correlated references, subqueries) are pair terms, evaluated by
+/// EvalScalar over the joined row.
+struct JoinTerm {
+  enum class Side : uint8_t { kPair, kLeft, kRight };
+  ScalarExprPtr expr;
+  Side side = Side::kPair;
+  /// Compiled against its side's schema; null for pair terms.
+  std::unique_ptr<CompiledExpr> compiled;
+  /// Its result for every row of its side, when evaluated ahead of the
+  /// probe.
+  std::optional<SideTermLanes> lanes;
+};
+
+std::vector<JoinTerm> PlanJoinResidual(std::vector<ScalarExprPtr> residual,
+                                       const Schema& left, const Schema& right,
+                                       const Schema& joined,
+                                       const CompiledExpr::ParamLookup& params) {
+  std::vector<JoinTerm> out(residual.size());
+  for (size_t k = 0; k < residual.size(); ++k) {
+    JoinTerm& t = out[k];
+    t.expr = std::move(residual[k]);
+    std::vector<std::string> refs;
+    ra::CollectColumnRefs(t.expr, &refs);
+    bool all_left = true;
+    bool all_right = true;
+    for (const std::string& r : refs) {
+      // Resolve exactly as the joined-row evaluation would: a name that
+      // is ambiguous or missing in the joined schema is neither side's.
+      std::optional<size_t> idx = joined.IndexOf(r);
+      all_left = all_left && idx.has_value() && *idx < left.size();
+      all_right = all_right && idx.has_value() && *idx >= left.size();
+    }
+    // A column-free term (a parameter test) rides the right side.
+    if (all_right) {
+      t.compiled = CompiledExpr::Compile(t.expr, right, params);
+      if (t.compiled != nullptr) t.side = JoinTerm::Side::kRight;
+    } else if (all_left) {
+      t.compiled = CompiledExpr::Compile(t.expr, left, params);
+      if (t.compiled != nullptr) t.side = JoinTerm::Side::kLeft;
+    }
+  }
+  return out;
+}
+
+/// Folds residual terms left to right exactly as EvalScalar folds the
+/// left-deep AND tree ScalarExpr::MakeAnd builds from them: a FALSE
+/// prefix short-circuits (later terms and their errors are never
+/// read), the first error reached is returned, and the folded value
+/// must be TRUE to pass. No terms = pass.
+template <typename TermFn>
+Result<bool> FoldResidual(size_t terms, TermFn term) {
+  if (terms == 0) return true;
+  Value acc;
+  for (size_t k = 0; k < terms; ++k) {
+    if (k > 0 && acc.is_bool() && !acc.AsBool()) return false;
+    EQSQL_ASSIGN_OR_RETURN(Value v, term(k));
+    acc = k == 0 ? std::move(v) : EvalAnd(acc, v);
+  }
+  return IsTruthy(acc);
+}
+
+/// One join side's equi-key values, extracted once per row. Values sit
+/// in an int64 lane while every non-NULL key is an int and demote to
+/// boxed Values (compared with ValueHash / operator==, so 1 matches
+/// 1.0) on the first that is not. Extraction stops at the first failing
+/// row: rows [0, rows) are valid and `err` is row `rows`'s error, which
+/// the probe raises when it reaches that row — the same point the
+/// row-at-a-time join raised it.
+struct JoinKeys {
+  size_t width = 0;
+  size_t rows = 0;
+  Status err = Status::OK();
+  bool int_lane = true;
+  std::vector<int64_t> ints;      // int_lane: rows * width, row-major
+  std::vector<Value> vals;        // otherwise: rows * width, row-major
+  std::vector<uint8_t> null_key;  // some key is NULL: never matches
+
+  void Box() {
+    if (!int_lane) return;
+    int_lane = false;
+    vals.reserve(ints.size());
+    for (size_t i = 0; i < ints.size(); ++i) {
+      vals.push_back(null_key[i / width] ? Value::Null()
+                                         : Value::Int(ints[i]));
+    }
+    ints = {};
+  }
+
+  /// Appends one row's key values.
+  void Append(const std::vector<Value>& row_keys) {
+    bool has_null = false;
+    for (const Value& v : row_keys) {
+      has_null = has_null || v.is_null();
+      if (int_lane && !v.is_null() && !v.is_int()) Box();
+    }
+    if (int_lane) {
+      for (const Value& v : row_keys) ints.push_back(v.is_int() ? v.AsInt() : 0);
+    } else {
+      vals.insert(vals.end(), row_keys.begin(), row_keys.end());
+    }
+    null_key.push_back(has_null ? 1 : 0);
+    ++rows;
+  }
+
+  Value At(size_t row, size_t k) const {
+    const size_t i = row * width + k;
+    if (!int_lane) return vals[i];
+    return null_key[row] ? Value::Null() : Value::Int(ints[i]);
+  }
+
+  size_t Hash(size_t row) const {
+    size_t seed = width;
+    if (int_lane) {
+      for (size_t k = 0; k < width; ++k) {
+        seed = SplitMix64(seed ^ static_cast<uint64_t>(ints[row * width + k]));
+      }
+      return seed;
+    }
+    catalog::ValueHash h;
+    for (size_t k = 0; k < width; ++k) HashCombine(seed, h(vals[row * width + k]));
+    return seed;
+  }
+};
+
+/// Key equality across two sides extracted into the same lane.
+bool KeysEqual(const JoinKeys& a, size_t ra, const JoinKeys& b, size_t rb) {
+  const size_t w = a.width;
+  if (a.int_lane) {
+    return std::equal(a.ints.begin() + ra * w, a.ints.begin() + (ra + 1) * w,
+                      b.ints.begin() + rb * w);
+  }
+  for (size_t k = 0; k < w; ++k) {
+    if (!(a.vals[ra * w + k] == b.vals[rb * w + k])) return false;
+  }
+  return true;
+}
+
+/// Extracts `keys` over `rows`: plain column keys by position,
+/// expression keys in batches through CompiledExpr. When any key does
+/// not compile (a subquery), the whole side evaluates row by row through
+/// `row_eval(row, expr)`, the row engine's evaluator.
+template <typename RowEval>
+JoinKeys ExtractJoinKeys(const std::vector<ScalarExprPtr>& keys,
+                         const Schema& schema, const std::vector<Row>& rows,
+                         const CompiledExpr::ParamLookup& params,
+                         RowEval row_eval) {
+  JoinKeys out;
+  out.width = keys.size();
+  const size_t kNoColumn = static_cast<size_t>(-1);
+  std::vector<size_t> cols(keys.size(), kNoColumn);
+  std::vector<std::unique_ptr<CompiledExpr>> compiled(keys.size());
+  bool batch = true;
+  for (size_t k = 0; k < keys.size() && batch; ++k) {
+    std::optional<size_t> idx;
+    if (keys[k]->op() == ScalarOp::kColumnRef) {
+      idx = schema.IndexOf(keys[k]->column_name());
+    }
+    if (idx.has_value()) {
+      cols[k] = *idx;
+    } else {
+      compiled[k] = CompiledExpr::Compile(keys[k], schema, params);
+      batch = compiled[k] != nullptr;
+    }
+  }
+  std::vector<Value> row_keys(keys.size());
+  if (!batch) {
+    for (const Row& row : rows) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        Result<Value> v = row_eval(row, keys[k]);
+        if (!v.ok()) {
+          out.err = v.status();
+          return out;
+        }
+        row_keys[k] = std::move(*v);
+      }
+      out.Append(row_keys);
+    }
+    return out;
+  }
+  std::vector<Vec> vs(keys.size());
+  for (size_t off = 0; off < rows.size(); off += kBatchCapacity) {
+    const size_t cnt = std::min(kBatchCapacity, rows.size() - off);
+    for (size_t k = 0; k < keys.size(); ++k) {
+      if (compiled[k] != nullptr) compiled[k]->Eval(rows.data() + off, cnt, &vs[k]);
+    }
+    for (size_t i = 0; i < cnt; ++i) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        if (cols[k] != kNoColumn) {
+          row_keys[k] = rows[off + i][cols[k]];
+          continue;
+        }
+        // Keys evaluate left to right per row: the first failing key of
+        // the first failing row is the error.
+        if (vs[k].ErrAt(i)) {
+          out.err = vs[k].ErrStatus(i);
+          return out;
+        }
+        row_keys[k] = vs[k].At(i);
+      }
+      out.Append(row_keys);
+    }
+  }
+  return out;
+}
+
+/// Build side of the hash join: the distinct non-NULL right keys, each
+/// with the right rows carrying it in input order. Open addressing over
+/// key groups; group g's rows are rows_[start_[g], start_[g + 1]).
+class JoinHashTable {
+ public:
+  explicit JoinHashTable(const JoinKeys& keys) : keys_(keys) {
+    size_t cap = 16;
+    while (cap < 2 * keys.rows) cap <<= 1;
+    mask_ = cap - 1;
+    slots_.assign(cap, 0);
+    std::vector<size_t> group_of(keys.rows, 0);
+    std::vector<size_t> counts;
+    for (size_t i = 0; i < keys.rows; ++i) {
+      if (keys.null_key[i]) continue;
+      const size_t h = keys.Hash(i);
+      size_t slot = h & mask_;
+      size_t g;
+      while (true) {
+        if (slots_[slot] == 0) {
+          g = group_rep_.size();
+          slots_[slot] = g + 1;
+          group_hash_.push_back(h);
+          group_rep_.push_back(i);
+          counts.push_back(0);
+          break;
+        }
+        g = slots_[slot] - 1;
+        if (group_hash_[g] == h && KeysEqual(keys, group_rep_[g], keys, i)) {
+          break;
+        }
+        slot = (slot + 1) & mask_;
+      }
+      group_of[i] = g;
+      ++counts[g];
+    }
+    start_.assign(counts.size() + 1, 0);
+    for (size_t g = 0; g < counts.size(); ++g) {
+      start_[g + 1] = start_[g] + counts[g];
+    }
+    rows_.resize(start_.back());
+    std::vector<size_t> fill(start_.begin(), start_.end() - 1);
+    for (size_t i = 0; i < keys.rows; ++i) {
+      if (!keys.null_key[i]) rows_[fill[group_of[i]]++] = i;
+    }
+  }
+
+  /// The right rows whose key equals `probe`'s row `row`, in input
+  /// order, as a [begin, end) range of right row indices.
+  std::pair<const size_t*, const size_t*> Find(const JoinKeys& probe,
+                                               size_t row) const {
+    const size_t h = probe.Hash(row);
+    for (size_t slot = h & mask_; slots_[slot] != 0; slot = (slot + 1) & mask_) {
+      const size_t g = slots_[slot] - 1;
+      if (group_hash_[g] == h && KeysEqual(probe, row, keys_, group_rep_[g])) {
+        return {rows_.data() + start_[g], rows_.data() + start_[g + 1]};
+      }
+    }
+    return {nullptr, nullptr};
+  }
+
+ private:
+  const JoinKeys& keys_;
+  size_t mask_ = 0;
+  std::vector<size_t> slots_;  // group + 1; 0 = empty
+  std::vector<size_t> group_hash_;
+  std::vector<size_t> group_rep_;  // first right row of each group
+  std::vector<size_t> start_;
+  std::vector<size_t> rows_;
+};
+
+/// How many matches ahead the hash-join probe prefetches right rows.
+constexpr ptrdiff_t kPrefetchAhead = 8;
+
+/// Appends lrow ++ rrow to `out` when the residual passes for the pair.
+/// Side-only terms come from `side_term(k)`; pair terms evaluate over
+/// the joined row through `pair_eval(joined, expr)`. The joined row is
+/// built at most once, only when a pair term or the output needs it.
+/// Returns whether the pair was emitted.
+template <typename SideTerm, typename PairEval>
+Result<bool> EmitIfResidualPasses(const std::vector<JoinTerm>& residual,
+                                  const Row& lrow, const Row& rrow,
+                                  SideTerm side_term, PairEval pair_eval,
+                                  std::vector<Row>* out) {
+  Row joined;
+  bool built = false;
+  auto build = [&] {
+    joined.reserve(lrow.size() + rrow.size());
+    joined.insert(joined.end(), lrow.begin(), lrow.end());
+    joined.insert(joined.end(), rrow.begin(), rrow.end());
+    built = true;
+  };
+  EQSQL_ASSIGN_OR_RETURN(
+      bool pass,
+      FoldResidual(residual.size(), [&](size_t k) -> Result<Value> {
+        if (residual[k].side != JoinTerm::Side::kPair) return side_term(k);
+        if (!built) build();
+        return pair_eval(joined, residual[k].expr);
+      }));
+  if (!pass) return false;
+  if (!built) build();
+  out->push_back(std::move(joined));
+  return true;
+}
+
+/// lrow padded with the right side's NULLs (LEFT OUTER JOIN, no match).
+Row PadRight(const Row& lrow, const Row& null_right) {
+  Row joined;
+  joined.reserve(lrow.size() + null_right.size());
+  joined.insert(joined.end(), lrow.begin(), lrow.end());
+  joined.insert(joined.end(), null_right.begin(), null_right.end());
+  return joined;
+}
+
 }  // namespace
 
 void Executor::set_metrics(obs::MetricsRegistry* metrics) {
@@ -519,8 +926,18 @@ Result<Value> Executor::EvalScalar(const ScalarExprPtr& expr,
   return Status::Internal("EvalScalar: unknown operator");
 }
 
-Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx) {
-  if (profile_ == nullptr) return ExecNode(node, ctx);
+Result<Value> Executor::EvalOnRow(const ScalarExprPtr& expr,
+                                  const Schema& schema, const Row& row,
+                                  EvalContext* ctx) {
+  ctx->PushFrame(&schema, &row);
+  Result<Value> v = EvalScalar(expr, ctx);
+  ctx->PopFrame();
+  return v;
+}
+
+Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx,
+                                 size_t keep) {
+  if (profile_ == nullptr) return ExecNode(node, ctx, keep);
   // Look up (or create) this plan node's profile entry under the
   // current operator; correlated subqueries and OuterApply re-enter the
   // same plan node, which folds into one entry with execs > 1. Wall
@@ -531,7 +948,7 @@ Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx) {
       profile_->ChildFor(parent, &node, ra::RaOpToString(node.op()));
   prof_cur_ = me;
   const int64_t t0 = NowNs();
-  Result<ResultSet> out = ExecNode(node, ctx);
+  Result<ResultSet> out = ExecNode(node, ctx, keep);
   me->wall_ns += NowNs() - t0;
   me->execs += 1;
   if (out.ok()) me->rows_out += static_cast<int64_t>(out->rows.size());
@@ -539,7 +956,8 @@ Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx) {
   return out;
 }
 
-Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
+Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx,
+                                     size_t keep) {
   switch (node.op()) {
     case RaOp::kScan: {
       EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
@@ -636,44 +1054,16 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
       return out;
     }
     case RaOp::kProject: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
-      if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
-        std::vector<std::unique_ptr<CompiledExpr>> items;
-        items.reserve(node.project_items().size());
-        bool compiled = true;
-        for (const ra::ProjectItem& item : node.project_items()) {
-          items.push_back(CompiledExpr::Compile(
-              item.expr, in.schema,
-              [ctx](int i) { return ctx->LookupParameter(i); }));
-          if (items.back() == nullptr) {
-            compiled = false;
-            break;
-          }
-        }
-        if (compiled) return ProjectVector(node, std::move(in), items);
-        RecordVectorFallback();
-      }
-      ResultSet out;
-      EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-      out.rows.reserve(in.rows.size());
-      for (const Row& row : in.rows) {
-        ctx->PushFrame(&in.schema, &row);
-        Row projected;
-        projected.reserve(node.project_items().size());
-        Status status = Status::OK();
-        for (const ra::ProjectItem& item : node.project_items()) {
-          Result<Value> v = EvalScalar(item.expr, ctx);
-          if (!v.ok()) {
-            status = v.status();
-            break;
-          }
-          projected.push_back(std::move(*v));
-        }
-        ctx->PopFrame();
-        EQSQL_RETURN_IF_ERROR(status);
-        out.rows.push_back(std::move(projected));
-      }
-      rows_processed_ += out.rows.size();
+      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx, keep));
+      const size_t rows = in.rows.size();
+      if (keep >= rows) return ExecProject(node, std::move(in), ctx);
+      // Top-N: project only the prefix the Limit reads; the padding rows
+      // keep the row count (and its charges) of the full projection.
+      in.rows.resize(keep);
+      EQSQL_ASSIGN_OR_RETURN(ResultSet out,
+                             ExecProject(node, std::move(in), ctx));
+      out.rows.resize(rows);
+      rows_processed_ += rows - keep;
       return out;
     }
     case RaOp::kJoin:
@@ -684,45 +1074,8 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
       return ExecOuterApply(node, ctx);
     case RaOp::kGroupBy:
       return ExecGroupBy(node, ctx);
-    case RaOp::kSort: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
-      // Precompute key tuples, then stable-sort indices.
-      std::vector<std::vector<Value>> keys(in.rows.size());
-      for (size_t i = 0; i < in.rows.size(); ++i) {
-        ctx->PushFrame(&in.schema, &in.rows[i]);
-        Status status = Status::OK();
-        for (const ra::SortKey& k : node.sort_keys()) {
-          Result<Value> v = EvalScalar(k.expr, ctx);
-          if (!v.ok()) {
-            status = v.status();
-            break;
-          }
-          keys[i].push_back(std::move(*v));
-        }
-        ctx->PopFrame();
-        EQSQL_RETURN_IF_ERROR(status);
-      }
-      std::vector<size_t> order(in.rows.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      const auto& sort_keys = node.sort_keys();
-      std::stable_sort(order.begin(), order.end(),
-                       [&](size_t a, size_t b) {
-                         for (size_t k = 0; k < sort_keys.size(); ++k) {
-                           const Value& va = keys[a][k];
-                           const Value& vb = keys[b][k];
-                           if (va == vb) continue;
-                           bool lt = va < vb;
-                           return sort_keys[k].ascending ? lt : !lt;
-                         }
-                         return false;
-                       });
-      ResultSet out;
-      out.schema = in.schema;
-      out.rows.reserve(in.rows.size());
-      for (size_t i : order) out.rows.push_back(std::move(in.rows[i]));
-      rows_processed_ += out.rows.size();
-      return out;
-    }
+    case RaOp::kSort:
+      return ExecSort(node, ctx, keep);
     case RaOp::kDedup: {
       EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
       ResultSet out;
@@ -735,7 +1088,8 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
       return out;
     }
     case RaOp::kLimit: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
+      EQSQL_ASSIGN_OR_RETURN(ResultSet in,
+                             Exec(*node.child(0), ctx, TopNKeep(node)));
       if (node.limit() >= 0 &&
           in.rows.size() > static_cast<size_t>(node.limit())) {
         in.rows.resize(static_cast<size_t>(node.limit()));
@@ -745,6 +1099,189 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx) {
     }
   }
   return Status::Internal("Exec: unknown operator");
+}
+
+Result<ResultSet> Executor::ExecProject(const RaNode& node, ResultSet in,
+                                        EvalContext* ctx) {
+  if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
+    std::vector<std::unique_ptr<CompiledExpr>> items;
+    items.reserve(node.project_items().size());
+    bool compiled = true;
+    for (const ra::ProjectItem& item : node.project_items()) {
+      items.push_back(CompiledExpr::Compile(
+          item.expr, in.schema,
+          [ctx](int i) { return ctx->LookupParameter(i); }));
+      if (items.back() == nullptr) {
+        compiled = false;
+        break;
+      }
+    }
+    if (compiled) return ProjectVector(node, std::move(in), items);
+    RecordVectorFallback();
+  }
+  ResultSet out;
+  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+  out.rows.reserve(in.rows.size());
+  for (const Row& row : in.rows) {
+    ctx->PushFrame(&in.schema, &row);
+    Row projected;
+    projected.reserve(node.project_items().size());
+    Status status = Status::OK();
+    for (const ra::ProjectItem& item : node.project_items()) {
+      Result<Value> v = EvalScalar(item.expr, ctx);
+      if (!v.ok()) {
+        status = v.status();
+        break;
+      }
+      projected.push_back(std::move(*v));
+    }
+    ctx->PopFrame();
+    EQSQL_RETURN_IF_ERROR(status);
+    out.rows.push_back(std::move(projected));
+  }
+  rows_processed_ += out.rows.size();
+  return out;
+}
+
+namespace {
+
+/// One ORDER BY key's value for every input row: an int64 lane while
+/// every value is a non-NULL int, boxed Values from the first that is
+/// not.
+struct SortColumn {
+  bool ascending = true;
+  bool int_lane = true;
+  std::vector<int64_t> ints;
+  std::vector<Value> vals;
+
+  void Push(Value v) {
+    if (int_lane && v.is_int()) {
+      ints.push_back(v.AsInt());
+      return;
+    }
+    if (int_lane) {
+      int_lane = false;
+      vals.reserve(ints.capacity());
+      for (int64_t x : ints) vals.push_back(Value::Int(x));
+      ints = {};
+    }
+    vals.push_back(std::move(v));
+  }
+
+  /// Negative, zero or positive as row `a` sorts before, level with, or
+  /// after row `b` (the row engine's ordering: equal values tie, else
+  /// operator< decides, flipped for DESC).
+  int Compare(size_t a, size_t b) const {
+    bool lt;
+    if (int_lane) {
+      if (ints[a] == ints[b]) return 0;
+      lt = ints[a] < ints[b];
+    } else {
+      if (vals[a] == vals[b]) return 0;
+      lt = vals[a] < vals[b];
+    }
+    return (ascending ? lt : !lt) ? -1 : 1;
+  }
+};
+
+}  // namespace
+
+size_t Executor::TopNKeep(const RaNode& limit) const {
+  if (limit.limit() < 0) return kKeepAll;
+  const RaNode& child = *limit.child(0);
+  if (child.op() == RaOp::kSort) return static_cast<size_t>(limit.limit());
+  if (child.op() != RaOp::kProject || child.child(0)->op() != RaOp::kSort) {
+    return kKeepAll;
+  }
+  // Plain input columns only: such a projection cannot fail or read a
+  // subquery, so projecting just the kept prefix changes nothing but
+  // the work done.
+  Result<Schema> sorted = OutputSchema(*child.child(0));
+  if (!sorted.ok()) return kKeepAll;
+  for (const ra::ProjectItem& item : child.project_items()) {
+    if (item.expr->op() != ScalarOp::kColumnRef ||
+        !sorted->IndexOf(item.expr->column_name()).has_value()) {
+      return kKeepAll;
+    }
+  }
+  return static_cast<size_t>(limit.limit());
+}
+
+Result<ResultSet> Executor::ExecSort(const RaNode& node, EvalContext* ctx,
+                                     size_t keep) {
+  EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
+  const auto& sort_keys = node.sort_keys();
+  const size_t n = in.rows.size();
+  std::vector<SortColumn> cols(sort_keys.size());
+  std::vector<std::unique_ptr<CompiledExpr>> compiled;
+  bool batch = true;
+  for (size_t k = 0; k < sort_keys.size(); ++k) {
+    cols[k].ascending = sort_keys[k].ascending;
+    if (!batch) continue;
+    compiled.push_back(CompiledExpr::Compile(
+        sort_keys[k].expr, in.schema,
+        [ctx](int i) { return ctx->LookupParameter(i); }));
+    batch = compiled.back() != nullptr;
+  }
+  // Either way the first failing key of the first failing row (keys
+  // left to right) is the error, as in row-at-a-time evaluation.
+  if (batch) {
+    std::vector<Vec> vs(sort_keys.size());
+    for (size_t off = 0; off < n; off += kBatchCapacity) {
+      const size_t cnt = std::min(kBatchCapacity, n - off);
+      for (size_t k = 0; k < compiled.size(); ++k) {
+        compiled[k]->Eval(in.rows.data() + off, cnt, &vs[k]);
+      }
+      for (size_t i = 0; i < cnt; ++i) {
+        for (size_t k = 0; k < vs.size(); ++k) {
+          if (vs[k].ErrAt(i)) return vs[k].ErrStatus(i);
+          cols[k].Push(vs[k].At(i));
+        }
+      }
+    }
+  } else {
+    for (const Row& row : in.rows) {
+      ctx->PushFrame(&in.schema, &row);
+      Status status = Status::OK();
+      for (size_t k = 0; k < sort_keys.size() && status.ok(); ++k) {
+        Result<Value> v = EvalScalar(sort_keys[k].expr, ctx);
+        if (v.ok()) {
+          cols[k].Push(std::move(*v));
+        } else {
+          status = v.status();
+        }
+      }
+      ctx->PopFrame();
+      EQSQL_RETURN_IF_ERROR(status);
+    }
+  }
+  // Input position breaks ties, which makes the order total: a full
+  // sort equals the row engine's stable sort, and a partial sort's
+  // prefix equals that sort's prefix.
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  auto before = [&](size_t a, size_t b) {
+    for (const SortColumn& c : cols) {
+      const int r = c.Compare(a, b);
+      if (r != 0) return r < 0;
+    }
+    return a < b;
+  };
+  const size_t sorted = std::min(keep, n);
+  if (sorted < n) {
+    std::partial_sort(order.begin(), order.begin() + sorted, order.end(),
+                      before);
+  } else {
+    std::sort(order.begin(), order.end(), before);
+  }
+  ResultSet out;
+  out.schema = std::move(in.schema);
+  out.rows.resize(n);
+  for (size_t i = 0; i < sorted; ++i) {
+    out.rows[i] = std::move(in.rows[order[i]]);
+  }
+  rows_processed_ += n;
+  return out;
 }
 
 Result<ResultSet> Executor::TryIndexLookup(const RaNode& node,
@@ -965,38 +1502,17 @@ Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
   if (table->index_count() == 0) return Status::NotFound("no indexes");
   EQSQL_ASSIGN_OR_RETURN(Schema right_schema, OutputSchema(right_node));
 
-  // Classify conjuncts exactly like the hash join so the residual, the
-  // null-key handling, and the output order match it bit for bit.
-  std::vector<ScalarExprPtr> conjuncts;
-  SplitConjuncts(node.predicate(), &conjuncts);
-  std::vector<ScalarExprPtr> left_keys, right_keys, residual;
-  for (const ScalarExprPtr& c : conjuncts) {
-    bool classified = false;
-    if (c->op() == ScalarOp::kEq) {
-      const ScalarExprPtr& a = c->child(0);
-      const ScalarExprPtr& b = c->child(1);
-      if (HasColumnRef(a) && HasColumnRef(b)) {
-        if (AllRefsResolve(a, left.schema) && AllRefsResolve(b, right_schema)) {
-          left_keys.push_back(a);
-          right_keys.push_back(b);
-          classified = true;
-        } else if (AllRefsResolve(b, left.schema) &&
-                   AllRefsResolve(a, right_schema)) {
-          left_keys.push_back(b);
-          right_keys.push_back(a);
-          classified = true;
-        }
-      }
-    }
-    if (!classified) residual.push_back(c);
-  }
-  if (left_keys.empty()) return Status::NotFound("no equi-join keys");
+  // The hash join's classifier, so the residual, the null-key handling,
+  // and the output order match it bit for bit.
+  JoinConjuncts split =
+      ClassifyJoinConjuncts(node.predicate(), left.schema, right_schema);
+  if (split.left_keys.empty()) return Status::NotFound("no equi-join keys");
 
   // Every right key must be a plain, distinct column ref whose column
   // set exactly covers a ready index.
   std::vector<std::string> right_cols;
-  right_cols.reserve(right_keys.size());
-  for (const ScalarExprPtr& k : right_keys) {
+  right_cols.reserve(split.right_keys.size());
+  for (const ScalarExprPtr& k : split.right_keys) {
     if (k->op() != ScalarOp::kColumnRef) {
       return Status::NotFound("right key is not a plain column");
     }
@@ -1032,41 +1548,34 @@ Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
 
   ResultSet out;
   out.schema = left.schema.Concat(right_schema);
-  ScalarExprPtr residual_pred;
-  if (!residual.empty()) residual_pred = ScalarExpr::MakeAnd(residual);
-  auto eval_combined = [&](const Row& lrow, const Row& rrow,
-                           const ScalarExprPtr& pred) -> Result<bool> {
-    Row combined = lrow;
-    combined.insert(combined.end(), rrow.begin(), rrow.end());
-    ctx->PushFrame(&out.schema, &combined);
-    Result<Value> v = EvalScalar(pred, ctx);
-    ctx->PopFrame();
-    if (!v.ok()) return v.status();
-    return IsTruthy(*v);
+  const CompiledExpr::ParamLookup params = [ctx](int i) {
+    return ctx->LookupParameter(i);
+  };
+  JoinKeys lkeys = ExtractJoinKeys(
+      split.left_keys, left.schema, left.rows, params,
+      [&](const Row& row, const ScalarExprPtr& e) {
+        return EvalOnRow(e, left.schema, row, ctx);
+      });
+  std::vector<JoinTerm> residual = PlanJoinResidual(
+      std::move(split.residual), left.schema, right_schema, out.schema, params);
+  // Left-only terms run ahead over the left rows; right-only terms run
+  // per candidate, on the version the index hands back.
+  for (JoinTerm& t : residual) {
+    if (t.side == JoinTerm::Side::kLeft) t.lanes.emplace(*t.compiled, left.rows);
+  }
+  auto pair_eval = [&](const Row& joined, const ScalarExprPtr& e) {
+    return EvalOnRow(e, out.schema, joined, ctx);
   };
   Row null_right(right_schema.size(), Value::Null());
   const std::vector<size_t>& key_cols = index->column_indexes();
-  for (const Row& lrow : left.rows) {
-    std::vector<Value> probe(left_keys.size());
-    bool null_key = false;
-    ctx->PushFrame(&left.schema, &lrow);
-    Status status = Status::OK();
-    for (size_t i = 0; i < left_keys.size(); ++i) {
-      Result<Value> v = EvalScalar(left_keys[i], ctx);
-      if (!v.ok()) {
-        status = v.status();
-        break;
-      }
-      if (v->is_null()) null_key = true;
-      probe[i] = std::move(*v);
-    }
-    ctx->PopFrame();
-    EQSQL_RETURN_IF_ERROR(status);
+  std::vector<Value> key(perm.size());
+  Vec lane;
+  for (size_t l = 0; l < left.rows.size(); ++l) {
+    if (l == lkeys.rows) return lkeys.err;
+    const Row& lrow = left.rows[l];
     bool matched = false;
-    if (!null_key) {
-      std::vector<Value> key;
-      key.reserve(perm.size());
-      for (size_t j : perm) key.push_back(probe[j]);
+    if (!lkeys.null_key[l]) {
+      for (size_t i = 0; i < perm.size(); ++i) key[i] = lkeys.At(l, perm[i]);
       std::vector<std::shared_ptr<const storage::TableSlot>> candidates =
           index->Probe(key);
       if (index_nlj_probes_ != nullptr) {
@@ -1083,23 +1592,22 @@ Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
           key_match = key_match && (*visible)[key_cols[i]] == key[i];
         }
         if (!key_match) continue;
-        const Row& rrow = *visible;
-        if (residual_pred != nullptr) {
-          EQSQL_ASSIGN_OR_RETURN(bool pass,
-                                 eval_combined(lrow, rrow, residual_pred));
-          if (!pass) continue;
-        }
-        Row combined = lrow;
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
-        out.rows.push_back(std::move(combined));
-        matched = true;
+        // Right-only terms read the visible version in place; nothing
+        // is copied unless the pair is emitted or a pair term needs it.
+        auto side_term = [&](size_t k) -> Result<Value> {
+          if (residual[k].lanes.has_value()) return residual[k].lanes->At(l);
+          residual[k].compiled->Eval(visible, 1, &lane);
+          if (lane.ErrAt(0)) return lane.ErrStatus(0);
+          return lane.At(0);
+        };
+        EQSQL_ASSIGN_OR_RETURN(
+            bool emitted, EmitIfResidualPasses(residual, lrow, *visible,
+                                               side_term, pair_eval,
+                                               &out.rows));
+        matched = matched || emitted;
       }
     }
-    if (left_outer && !matched) {
-      Row combined = lrow;
-      combined.insert(combined.end(), null_right.begin(), null_right.end());
-      out.rows.push_back(std::move(combined));
-    }
+    if (left_outer && !matched) out.rows.push_back(PadRight(lrow, null_right));
   }
   rows_processed_ += out.rows.size();
   if (prof_cur_ != nullptr) prof_cur_->label = "IndexNestedLoopJoin";
@@ -1119,136 +1627,92 @@ Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
   EQSQL_ASSIGN_OR_RETURN(ResultSet right, Exec(*node.child(1), ctx));
   ResultSet out;
   out.schema = left.schema.Concat(right.schema);
-
-  // Split the predicate into hashable equi-conjuncts and a residual.
-  std::vector<ScalarExprPtr> conjuncts;
-  SplitConjuncts(node.predicate(), &conjuncts);
-  std::vector<ScalarExprPtr> left_keys, right_keys, residual;
-  for (const ScalarExprPtr& c : conjuncts) {
-    bool classified = false;
-    if (c->op() == ScalarOp::kEq) {
-      const ScalarExprPtr& a = c->child(0);
-      const ScalarExprPtr& b = c->child(1);
-      if (HasColumnRef(a) && HasColumnRef(b)) {
-        if (AllRefsResolve(a, left.schema) && AllRefsResolve(b, right.schema)) {
-          left_keys.push_back(a);
-          right_keys.push_back(b);
-          classified = true;
-        } else if (AllRefsResolve(b, left.schema) &&
-                   AllRefsResolve(a, right.schema)) {
-          left_keys.push_back(b);
-          right_keys.push_back(a);
-          classified = true;
-        }
-      }
-    }
-    if (!classified) residual.push_back(c);
-  }
-
-  ScalarExprPtr residual_pred;
-  if (!residual.empty()) residual_pred = ScalarExpr::MakeAnd(residual);
-
-  auto eval_combined = [&](const Row& lrow, const Row& rrow,
-                           const ScalarExprPtr& pred) -> Result<bool> {
-    Row combined = lrow;
-    combined.insert(combined.end(), rrow.begin(), rrow.end());
-    ctx->PushFrame(&out.schema, &combined);
-    Result<Value> v = EvalScalar(pred, ctx);
-    ctx->PopFrame();
-    if (!v.ok()) return v.status();
-    return IsTruthy(*v);
-  };
-
+  JoinConjuncts split =
+      ClassifyJoinConjuncts(node.predicate(), left.schema, right.schema);
   Row null_right(right.schema.size(), Value::Null());
 
-  if (!left_keys.empty()) {
-    // Hash join: build on right.
-    std::unordered_map<std::vector<Value>, std::vector<size_t>, RowVecHash,
-                       RowVecEq>
-        build;
-    for (size_t i = 0; i < right.rows.size(); ++i) {
-      std::vector<Value> key;
-      key.reserve(right_keys.size());
-      bool null_key = false;
-      ctx->PushFrame(&right.schema, &right.rows[i]);
-      Status status = Status::OK();
-      for (const ScalarExprPtr& k : right_keys) {
-        Result<Value> v = EvalScalar(k, ctx);
-        if (!v.ok()) {
-          status = v.status();
-          break;
-        }
-        if (v->is_null()) null_key = true;
-        key.push_back(std::move(*v));
-      }
-      ctx->PopFrame();
-      EQSQL_RETURN_IF_ERROR(status);
-      if (!null_key) build[std::move(key)].push_back(i);
-    }
-    for (const Row& lrow : left.rows) {
-      std::vector<Value> key;
-      key.reserve(left_keys.size());
-      bool null_key = false;
-      ctx->PushFrame(&left.schema, &lrow);
-      Status status = Status::OK();
-      for (const ScalarExprPtr& k : left_keys) {
-        Result<Value> v = EvalScalar(k, ctx);
-        if (!v.ok()) {
-          status = v.status();
-          break;
-        }
-        if (v->is_null()) null_key = true;
-        key.push_back(std::move(*v));
-      }
-      ctx->PopFrame();
-      EQSQL_RETURN_IF_ERROR(status);
-      bool matched = false;
-      if (!null_key) {
-        auto it = build.find(key);
-        if (it != build.end()) {
-          for (size_t ridx : it->second) {
-            const Row& rrow = right.rows[ridx];
-            if (residual_pred != nullptr) {
-              EQSQL_ASSIGN_OR_RETURN(bool pass,
-                                     eval_combined(lrow, rrow, residual_pred));
-              if (!pass) continue;
-            }
-            Row combined = lrow;
-            combined.insert(combined.end(), rrow.begin(), rrow.end());
-            out.rows.push_back(std::move(combined));
-            matched = true;
-          }
-        }
-      }
-      if (left_outer && !matched) {
-        Row combined = lrow;
-        combined.insert(combined.end(), null_right.begin(), null_right.end());
-        out.rows.push_back(std::move(combined));
-      }
-    }
-  } else {
+  if (split.left_keys.empty()) {
     // Nested loop join.
     ScalarExprPtr pred = node.predicate();
     for (const Row& lrow : left.rows) {
       bool matched = false;
       for (const Row& rrow : right.rows) {
-        bool pass = true;
+        Row joined = PadRight(lrow, rrow);
         if (pred != nullptr) {
-          EQSQL_ASSIGN_OR_RETURN(pass, eval_combined(lrow, rrow, pred));
+          EQSQL_ASSIGN_OR_RETURN(Value v,
+                                 EvalOnRow(pred, out.schema, joined, ctx));
+          if (!IsTruthy(v)) continue;
         }
-        if (pass) {
-          Row combined = lrow;
-          combined.insert(combined.end(), rrow.begin(), rrow.end());
-          out.rows.push_back(std::move(combined));
-          matched = true;
-        }
+        out.rows.push_back(std::move(joined));
+        matched = true;
       }
       if (left_outer && !matched) {
-        Row combined = lrow;
-        combined.insert(combined.end(), null_right.begin(), null_right.end());
-        out.rows.push_back(std::move(combined));
+        out.rows.push_back(PadRight(lrow, null_right));
       }
     }
+    rows_processed_ += out.rows.size();
+    return out;
+  }
+
+  // Hash join, built on the right. Keys are extracted once per row on
+  // both sides (right first: its errors surface before any probe), then
+  // every side-only residual term is evaluated once per row of its side.
+  const CompiledExpr::ParamLookup params = [ctx](int i) {
+    return ctx->LookupParameter(i);
+  };
+  auto side_eval = [ctx, this](const Schema& schema) {
+    return [ctx, this, &schema](const Row& row, const ScalarExprPtr& e) {
+      return EvalOnRow(e, schema, row, ctx);
+    };
+  };
+  JoinKeys rkeys = ExtractJoinKeys(split.right_keys, right.schema, right.rows,
+                                   params, side_eval(right.schema));
+  if (!rkeys.err.ok()) return rkeys.err;
+  JoinKeys lkeys = ExtractJoinKeys(split.left_keys, left.schema, left.rows,
+                                   params, side_eval(left.schema));
+  if (!lkeys.int_lane || !rkeys.int_lane) {
+    lkeys.Box();
+    rkeys.Box();
+  }
+  const JoinHashTable build(rkeys);
+  std::vector<JoinTerm> residual = PlanJoinResidual(
+      std::move(split.residual), left.schema, right.schema, out.schema, params);
+  for (JoinTerm& t : residual) {
+    if (t.side == JoinTerm::Side::kLeft) t.lanes.emplace(*t.compiled, left.rows);
+    if (t.side == JoinTerm::Side::kRight) {
+      t.lanes.emplace(*t.compiled, right.rows);
+    }
+  }
+  auto pair_eval = side_eval(out.schema);
+  for (size_t l = 0; l < left.rows.size(); ++l) {
+    if (l == lkeys.rows) return lkeys.err;
+    const Row& lrow = left.rows[l];
+    bool matched = false;
+    if (!lkeys.null_key[l]) {
+      auto [begin, end] = build.Find(lkeys, l);
+      for (const size_t* r = begin; r != end; ++r) {
+        // A key's right rows are scattered through the right input:
+        // fetch the row a few matches ahead while this one is copied.
+        if (end - r > kPrefetchAhead) {
+          const Row& ahead = right.rows[r[kPrefetchAhead]];
+          const char* p = reinterpret_cast<const char*>(ahead.data());
+          const size_t bytes = ahead.size() * sizeof(Value);
+          for (size_t off = 0; off < bytes; off += 64) {
+            __builtin_prefetch(p + off);
+          }
+        }
+        auto side_term = [&](size_t k) {
+          const JoinTerm& t = residual[k];
+          return t.lanes->At(t.side == JoinTerm::Side::kLeft ? l : *r);
+        };
+        EQSQL_ASSIGN_OR_RETURN(
+            bool emitted,
+            EmitIfResidualPasses(residual, lrow, right.rows[*r], side_term,
+                                 pair_eval, &out.rows));
+        matched = matched || emitted;
+      }
+    }
+    if (left_outer && !matched) out.rows.push_back(PadRight(lrow, null_right));
   }
   rows_processed_ += out.rows.size();
   return out;

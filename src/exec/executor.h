@@ -155,12 +155,36 @@ class Executor {
   size_t last_rows_processed() const { return rows_processed_; }
 
  private:
+  /// `keep` value meaning the caller reads every row.
+  static constexpr size_t kKeepAll = static_cast<size_t>(-1);
+
   /// Operator dispatch. When a profile is attached, Exec wraps ExecNode
   /// with per-operator bookkeeping (node lookup keyed by plan-node
   /// address, wall time, rows out) and ExecNode does the actual work;
   /// without one, Exec tail-calls ExecNode.
-  Result<ResultSet> Exec(const ra::RaNode& node, EvalContext* ctx);
-  Result<ResultSet> ExecNode(const ra::RaNode& node, EvalContext* ctx);
+  ///
+  /// `keep` is the top-N contract: the caller (a Limit) reads only rows
+  /// [0, keep). Only Limit passes it, and only to a Sort or to a
+  /// bare-column Project over a Sort; those operators then order and
+  /// project just that prefix and leave the remaining rows empty. The
+  /// row count, rows_processed_ and profile act_rows stay those of the
+  /// full result.
+  Result<ResultSet> Exec(const ra::RaNode& node, EvalContext* ctx,
+                         size_t keep = kKeepAll);
+  Result<ResultSet> ExecNode(const ra::RaNode& node, EvalContext* ctx,
+                             size_t keep);
+  /// Row limit a Limit may push into its child as `keep`: the limit when
+  /// the child is a Sort or a Project of plain input columns over a
+  /// Sort, else kKeepAll.
+  size_t TopNKeep(const ra::RaNode& limit) const;
+  Result<ResultSet> ExecProject(const ra::RaNode& node, ResultSet in,
+                                EvalContext* ctx);
+  /// Sort with keys evaluated through CompiledExpr (EvalScalar when one
+  /// does not compile). With keep < rows, selects the first `keep` rows
+  /// by a partial sort on (key, input position) — the same prefix a
+  /// stable full sort yields.
+  Result<ResultSet> ExecSort(const ra::RaNode& node, EvalContext* ctx,
+                             size_t keep);
   /// Resolves a table name through the attached ReadGuard first (pinned
   /// snapshot), then the live registry.
   Result<const storage::Table*> ResolveTable(const std::string& name) const;
@@ -189,6 +213,10 @@ class Executor {
                                            EvalContext* ctx);
   Result<catalog::Value> EvalScalar(const ra::ScalarExprPtr& expr,
                                     EvalContext* ctx);
+  /// EvalScalar with (`schema`, `row`) pushed as the innermost frame.
+  Result<catalog::Value> EvalOnRow(const ra::ScalarExprPtr& expr,
+                                   const catalog::Schema& schema,
+                                   const catalog::Row& row, EvalContext* ctx);
   Result<ResultSet> ExecJoin(const ra::RaNode& node, bool left_outer,
                              EvalContext* ctx);
   Result<ResultSet> ExecOuterApply(const ra::RaNode& node, EvalContext* ctx);

@@ -1,5 +1,7 @@
 #include "interp/interpreter.h"
 
+#include <atomic>
+
 #include "analysis/effects.h"
 #include "baselines/batching_exec.h"
 #include "exec/scalar_ops.h"
@@ -473,8 +475,13 @@ bool Interpreter::TryBatchForEach(const Stmt& loop,
                                   const std::vector<RtValue>& elements) {
   // Per-loop unique parameter table name: the name is baked into the
   // rewritten SQL, so reuse across (possibly nested) loops would join
-  // against the wrong parameters.
-  const std::string table = "__batch_p" + std::to_string(++batch_seq_);
+  // against the wrong parameters. The sequence is process-wide because
+  // parameter tables live in the shared database: interpreters running
+  // concurrently (one per session) must never create, read or drop each
+  // other's table.
+  static std::atomic<uint64_t> batch_seq{0};
+  const std::string table =
+      "__batch_p" + std::to_string(batch_seq.fetch_add(1) + 1);
   baselines::BatchPlan plan = baselines::AnalyzeForEach(loop, table);
   if (plan.sites.empty()) return false;
 

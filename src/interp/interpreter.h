@@ -92,7 +92,6 @@ class Interpreter {
   std::vector<std::string> printed_;
   int call_depth_ = 0;
   bool batching_ = false;
-  int batch_seq_ = 0;
   std::vector<BatchOverlay> overlays_;
 };
 

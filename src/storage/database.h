@@ -101,8 +101,9 @@ class Database {
 
   /// One version-GC pass: computes the watermark once, vacuums every
   /// table, then frees retired versions no pinned reader can reach.
-  /// Safe to run concurrently with readers and writers; callers
-  /// serialize multiple GC threads externally (net::Server runs one).
+  /// Safe to run concurrently with readers and writers. Nothing runs it
+  /// automatically (net::Server has no GC thread): callers must schedule
+  /// it themselves and serialize concurrent calls externally.
   void Vacuum();
 
   /// Resolves storage.mvcc.* counter handles on the TxnManager.

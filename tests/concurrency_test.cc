@@ -10,17 +10,20 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "catalog/value.h"
+#include "core/alternative_selector.h"
 #include "core/optimizer.h"
 #include "core/plan_cache.h"
 #include "frontend/parser.h"
 #include "interp/interpreter.h"
 #include "net/connection.h"
 #include "net/server.h"
+#include "net/table_stats.h"
 #include "workloads/benchmark_apps.h"
 
 namespace eqsql::net {
@@ -404,5 +407,202 @@ TEST(ServerStressTest, StatsFoldOnClose) {
   EXPECT_EQ(done.max_session_simulated_ms, done.totals.simulated_ms);
 }
 
+
+// The phoneBook program: a string fold over per-applicant point probes,
+// which the cost-based selector serves by batching (parameter-table
+// upload plus one demultiplexing join).
+constexpr char kPhoneBookProgram[] = R"(
+func phoneBook() {
+  s = "";
+  rs = executeQuery("SELECT * FROM applicants AS a");
+  for (t : rs) {
+    phone = scalar(executeQuery(
+        "SELECT d.phone AS phone FROM details AS d WHERE d.aid = ?", t.id));
+    s = concat(s, pair(t.name, phone));
+  }
+  return s;
+}
+)";
+
+/// Four sessions serve the batching program at once. Every run creates
+/// and drops its own parameter table, and every table create or drop
+/// moves the stats epoch, so the other sessions keep re-pricing their
+/// plans — which gathers table statistics over the very tables being
+/// dropped. Under ASan/TSan this is the use-after-free / race check;
+/// in any build every run must return the serial answer.
+TEST(ServerStressTest, ConcurrentBatchingSessionsServePhoneBook) {
+  constexpr int kSessions = 4;
+  constexpr int kIters = 8;
+  Server server(AppServerOptions());
+  ASSERT_TRUE(workloads::SetupJobPortalDatabase(server.db(), 200).ok());
+  auto program = frontend::ParseProgram(kPhoneBookProgram);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+
+  std::string expected;
+  {
+    std::unique_ptr<Session> session = server.Connect();
+    auto plan = session->SelectPlan(kPhoneBookProgram, "phoneBook");
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_EQ((*plan)->chosen, core::AlternativeKind::kBatching);
+    interp::Interpreter interp(&*program, session.get());
+    auto ret = interp.Run("phoneBook");
+    ASSERT_TRUE(ret.ok()) << ret.status().ToString();
+    expected = ret->DisplayString();
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kSessions; ++t) {
+    workers.emplace_back([&] {
+      std::unique_ptr<Session> session = server.Connect();
+      for (int i = 0; i < kIters; ++i) {
+        auto plan = session->SelectPlan(kPhoneBookProgram, "phoneBook");
+        if (!plan.ok() ||
+            (*plan)->chosen != core::AlternativeKind::kBatching) {
+          failures.fetch_add(1);
+          continue;
+        }
+        interp::Interpreter interp(&*program, session.get());
+        interp.set_batching(true);
+        auto ret = interp.Run("phoneBook");
+        if (!ret.ok() || ret->DisplayString() != expected) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Every parameter table was dropped again.
+  for (const std::string& name : server.db()->TableNames()) {
+    EXPECT_EQ(name.rfind("__batch_p", 0), std::string::npos) << name;
+  }
+}
+
+/// The race under the batching crash, without the interpreter around
+/// it: one thread churns a temp table (create, drop) while another
+/// gathers table statistics in a loop. Statistics must hold each table
+/// through an owning reference for the whole read, so a drop in the
+/// middle cannot free it (ASan reports a use-after-free otherwise).
+TEST(ServerStressTest, TableStatsSurviveConcurrentTempTableDrops) {
+  storage::Database db;
+  ASSERT_TRUE(workloads::SetupJobPortalDatabase(&db, 50).ok());
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    Connection conn(&db);
+    const catalog::Schema schema(
+        {{"id", DataType::kInt64}, {"v", DataType::kInt64}});
+    for (int i = 0; i < 2000; ++i) {
+      std::vector<catalog::Row> rows;
+      for (int r = 0; r < 256; ++r) {
+        rows.push_back({Value::Int(r), Value::Int(i)});
+      }
+      EXPECT_TRUE(conn.CreateTempTable("churn_p", schema, std::move(rows)).ok());
+      conn.DropTempTable("churn_p");
+    }
+    done.store(true);
+  });
+  int64_t gathers = 0;
+  while (!done.load()) {
+    core::TableStats stats = GatherTableStats(&db);
+    EXPECT_EQ(stats.table_rows.at("applicants"), 50);
+    auto churned = stats.table_rows.find("churn_p");
+    if (churned != stats.table_rows.end()) {
+      EXPECT_EQ(churned->second, 256);
+    }
+    ++gathers;
+  }
+  churn.join();
+  EXPECT_GT(gathers, 0);
+}
+
+/// Forwards to a Connection and records every parameter table the
+/// interpreter creates.
+class TableNameRecorder : public Client {
+ public:
+  explicit TableNameRecorder(Connection* conn) : conn_(conn) {}
+  Outcome Perform(Request req) override { return conn_->Perform(std::move(req)); }
+  void ChargeClientOps(int64_t ops) override { conn_->ChargeClientOps(ops); }
+  Status CreateTempTable(const std::string& name, catalog::Schema schema,
+                         std::vector<catalog::Row> rows) override {
+    names_.push_back(name);
+    return conn_->CreateTempTable(name, std::move(schema), std::move(rows));
+  }
+  void DropTempTable(const std::string& name) override {
+    conn_->DropTempTable(name);
+  }
+  const std::vector<std::string>& names() const { return names_; }
+
+ private:
+  Connection* conn_;
+  std::vector<std::string> names_;
+};
+
+/// Two interpreters batch different loops over one database at the
+/// same time. Parameter-table names come from one process-wide
+/// sequence, so no two runs ever share a table name: neither can read,
+/// replace or drop the other's parameters.
+TEST(ServerStressTest, ConcurrentInterpretersUseDistinctParameterTables) {
+  constexpr int kRuns = 20;
+  storage::Database db;
+  ASSERT_TRUE(workloads::SetupJobPortalDatabase(&db, 120).ok());
+  const std::string source = R"(
+func phones(m) {
+  s = "";
+  rs = executeQuery("SELECT * FROM applicants AS a WHERE a.mode = ?", m);
+  for (t : rs) {
+    phone = scalar(executeQuery(
+        "SELECT d.phone AS phone FROM details AS d WHERE d.aid = ?", t.id));
+    s = concat(s, pair(t.id, phone));
+  }
+  return s;
+}
+)";
+  auto program = frontend::ParseProgram(source);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const std::vector<interp::RtValue> modes[2] = {
+      {interp::RtValue(Value::String("online"))},
+      {interp::RtValue(Value::String("paper"))}};
+
+  // Serial, unbatched answers.
+  std::string expected[2];
+  for (int i = 0; i < 2; ++i) {
+    Connection conn(&db);
+    interp::Interpreter interp(&*program, &conn);
+    auto ret = interp.Run("phones", modes[i]);
+    ASSERT_TRUE(ret.ok()) << ret.status().ToString();
+    expected[i] = ret->DisplayString();
+  }
+  ASSERT_NE(expected[0], expected[1]);
+
+  std::atomic<int> failures{0};
+  std::vector<std::string> names[2];
+  std::vector<std::thread> workers;
+  for (int i = 0; i < 2; ++i) {
+    workers.emplace_back([&, i] {
+      Connection conn(&db);
+      for (int run = 0; run < kRuns; ++run) {
+        // A fresh interpreter per run, as a server serves each request.
+        TableNameRecorder client(&conn);
+        interp::Interpreter interp(&*program, &client);
+        interp.set_batching(true);
+        auto ret = interp.Run("phones", modes[i]);
+        if (!ret.ok() || ret->DisplayString() != expected[i]) {
+          failures.fetch_add(1);
+        }
+        names[i].insert(names[i].end(), client.names().begin(),
+                        client.names().end());
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+  std::set<std::string> distinct;
+  for (const auto& list : names) distinct.insert(list.begin(), list.end());
+  // Every run batched its loop through exactly one parameter table, and
+  // no name was handed out twice.
+  EXPECT_EQ(names[0].size() + names[1].size(), 2u * kRuns);
+  EXPECT_EQ(distinct.size(), 2u * kRuns);
+}
 }  // namespace
 }  // namespace eqsql::net

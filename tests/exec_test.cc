@@ -256,6 +256,39 @@ TEST_F(ExecutorTest, Limit) {
   EXPECT_EQ(rs->rows.size(), 2u);
 }
 
+// LIMIT over a Project of plain columns over a Sort selects the top
+// rows without fully sorting or projecting, yet charges the full plan:
+// scan 4 + sort 4 + project 4 + limit 2.
+TEST_F(ExecutorTest, TopNLimitChargesTheFullSortAndProject) {
+  Executor ex(&db_);
+  auto q = RaNode::Limit(
+      RaNode::Project(RaNode::Sort(RaNode::Scan("board", "b"),
+                                   {{Col("b.p1"), false}}),
+                      {{Col("b.id"), "id"}}),
+      2);
+  auto rs = ex.Execute(q);
+  ASSERT_TRUE(rs.ok());
+  ASSERT_EQ(rs->rows.size(), 2u);
+  EXPECT_EQ(rs->rows[0][0].AsInt(), 3);  // p1 = 99
+  EXPECT_EQ(rs->rows[1][0].AsInt(), 2);  // p1 = 50
+  EXPECT_EQ(ex.last_rows_processed(), 14u);
+
+  // A computed projection item is not eligible: the same charges, the
+  // ordinary path.
+  auto computed = RaNode::Limit(
+      RaNode::Project(RaNode::Sort(RaNode::Scan("board", "b"),
+                                   {{Col("b.p1"), false}}),
+                      {{ScalarExpr::Binary(ScalarOp::kAdd, Col("b.id"),
+                                           Lit(100)),
+                        "id"}}),
+      2);
+  rs = ex.Execute(computed);
+  ASSERT_TRUE(rs.ok());
+  ASSERT_EQ(rs->rows.size(), 2u);
+  EXPECT_EQ(rs->rows[0][0].AsInt(), 103);
+  EXPECT_EQ(ex.last_rows_processed(), 14u);
+}
+
 TEST_F(ExecutorTest, OuterApplyCorrelated) {
   Executor ex(&db_);
   // wuser OUTER APPLY (SELECT name FROM role WHERE role.id = u.role_id)

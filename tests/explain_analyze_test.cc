@@ -91,6 +91,12 @@ TEST(ExplainAnalyzeTest, ProfileActualsMatchRegistryCountersAcrossGrid) {
       "GROUP BY t0.g",
       "SELECT a.id AS id FROM t AS a JOIN t AS b ON a.id = b.id",
       "SELECT t0.id AS id FROM t AS t0 ORDER BY t0.v DESC LIMIT 10",
+      // Hash join whose residual reads only the right input.
+      "SELECT a.id AS id, b.v AS v FROM t AS a JOIN t AS b "
+      "ON a.g = b.id AND b.v < 50",
+      // Top-N: LIMIT over a Project over a Sort.
+      "SELECT t0.id AS id, t0.v AS v FROM t AS t0 WHERE t0.g > 1 "
+      "ORDER BY t0.v, t0.id DESC LIMIT 7",
   };
   for (exec::ExecMode mode : kExecModes) {
     for (size_t shards : kShardCounts) {
@@ -139,6 +145,46 @@ TEST(ExplainAnalyzeTest, ProfileActualsMatchRegistryCountersAcrossGrid) {
                   static_cast<int64_t>(out.rows.rows.size()))
             << sql;
       }
+    }
+  }
+}
+
+// The top-N Limit projects and orders only the rows it keeps, but the
+// tree still reports the full cardinality on the Project and Sort under
+// it, and the simulated clock is the same with or without a profile.
+TEST(ExplainAnalyzeTest, TopNKeepsFullActRowsUnderLimit) {
+  const char* sql =
+      "SELECT t0.id AS id FROM t AS t0 WHERE t0.g > 1 ORDER BY t0.v DESC "
+      "LIMIT 3";
+  for (exec::ExecMode mode : kExecModes) {
+    for (size_t shards : kShardCounts) {
+      std::unique_ptr<storage::Database> db = MakeDb(shards);
+      double ms[2];
+      for (int profiled = 0; profiled < 2; ++profiled) {
+        net::Connection conn(db.get());
+        conn.set_exec_mode(mode);
+        obs::Profile profile;
+        if (profiled) conn.set_profile(&profile);
+        net::Outcome out = conn.Perform(net::Request::Query(sql));
+        conn.set_profile(nullptr);
+        ASSERT_TRUE(out.ok()) << out.status.ToString();
+        ASSERT_EQ(out.rows.rows.size(), 3u);
+        ms[profiled] = conn.stats().simulated_ms;
+        if (!profiled) continue;
+        const obs::ProfileNode* limit = profile.root();
+        ASSERT_NE(limit, nullptr);
+        EXPECT_EQ(limit->label, "Limit");
+        EXPECT_EQ(limit->rows_out, 3);
+        ASSERT_EQ(limit->children.size(), 1u);
+        const obs::ProfileNode* project = limit->children[0].get();
+        EXPECT_EQ(project->label, "Project");
+        EXPECT_EQ(project->rows_out, 120);  // g in {2, 3, 4}: 3/5 of 200
+        ASSERT_EQ(project->children.size(), 1u);
+        const obs::ProfileNode* sort = project->children[0].get();
+        EXPECT_EQ(sort->label, "Sort");
+        EXPECT_EQ(sort->rows_out, 120);
+      }
+      EXPECT_EQ(ms[1], ms[0]) << exec::ExecModeName(mode) << " " << shards;
     }
   }
 }

@@ -324,6 +324,232 @@ TEST(VectorExecTest, TombstonesSurviveVacuum) {
 }
 
 // ---------------------------------------------------------------------------
+// Join, Sort and top-N Limit edge cases. Both engines run the same join
+// and sort operators, so beyond mode parity every case pins its rows
+// (or its first error) outright, at 1 and 4 shards.
+
+constexpr size_t kEdgeShardCounts[] = {1, 4};
+
+/// l(id, k, name), r(id, k, v, s) and rd(id, kd): NULL keys on both
+/// sides, a build key shared by two right rows (k = 1 on r.10 and
+/// r.12), rows without a partner on either side, and double keys in rd
+/// (1.0 equals the int key 1).
+void SetupJoinEdgeTables(storage::Database* db) {
+  auto l = db->CreateTable("l", Schema({{"id", DataType::kInt64},
+                                        {"k", DataType::kInt64},
+                                        {"name", DataType::kString}}));
+  ASSERT_TRUE(l.ok());
+  const Value null = Value::Null();
+  for (const Row& row : std::vector<Row>{
+           {Value::Int(1), Value::Int(1), Value::String("x")},
+           {Value::Int(2), null, Value::String("y")},
+           {Value::Int(3), Value::Int(2), Value::String("z")},
+           {Value::Int(4), Value::Int(9), Value::String("w")},
+           {Value::Int(5), Value::Int(1), Value::String("u")}}) {
+    ASSERT_TRUE((*l)->Insert(row).ok());
+  }
+  auto r = db->CreateTable("r", Schema({{"id", DataType::kInt64},
+                                        {"k", DataType::kInt64},
+                                        {"v", DataType::kInt64},
+                                        {"s", DataType::kString}}));
+  ASSERT_TRUE(r.ok());
+  for (const Row& row : std::vector<Row>{
+           {Value::Int(10), Value::Int(1), Value::Int(5), Value::String("a")},
+           {Value::Int(11), Value::Int(2), Value::Int(0), Value::String("b")},
+           {Value::Int(12), Value::Int(1), Value::Int(7), Value::String("c")},
+           {Value::Int(13), null, Value::Int(3), Value::String("d")},
+           {Value::Int(14), Value::Int(3), null, Value::String("e")}}) {
+    ASSERT_TRUE((*r)->Insert(row).ok());
+  }
+  auto rd = db->CreateTable(
+      "rd", Schema({{"id", DataType::kInt64}, {"kd", DataType::kDouble}}));
+  ASSERT_TRUE(rd.ok());
+  ASSERT_TRUE((*rd)->Insert({Value::Int(20), Value::Double(1.0)}).ok());
+  ASSERT_TRUE((*rd)->Insert({Value::Int(21), Value::Double(2.5)}).ok());
+}
+
+/// Result rows only ("v|v|" per row), or "error: <status>".
+std::string RenderRows(const net::Outcome& out) {
+  if (!out.ok()) return "error: " + out.status.ToString();
+  std::string s;
+  for (const Row& row : out.rows.rows) {
+    for (const Value& v : row) s += v.ToString() + "|";
+    s += "\n";
+  }
+  return s;
+}
+
+/// Runs `sql` in both modes at 1 and 4 shards. The modes must agree on
+/// the full outcome (rows, schema, simulated cost), and the rows must
+/// equal `expected` — or, for an expected "error: ...", contain it.
+void ExpectEdgeCase(const std::string& sql, const std::string& expected) {
+  for (size_t shards : kEdgeShardCounts) {
+    storage::DatabaseOptions dbo;
+    dbo.shard_count = shards;
+    storage::Database db(dbo);
+    SetupJoinEdgeTables(&db);
+    std::unique_ptr<exec::WorkerPool> pool;
+    if (shards > 1) pool = std::make_unique<exec::WorkerPool>(2);
+    std::string full[2];
+    int i = 0;
+    for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kVector}) {
+      net::Connection conn(&db);
+      conn.set_exec_mode(mode);
+      if (pool != nullptr) {
+        conn.set_worker_pool(pool.get());
+        conn.set_parallel_threshold(0);
+      }
+      net::Outcome out = conn.Perform(net::Request::Query(sql));
+      const std::string rows = RenderRows(out);
+      const std::string where = sql + " mode=" + exec::ExecModeName(mode) +
+                                " shards=" + std::to_string(shards);
+      if (expected.rfind("error: ", 0) == 0) {
+        EXPECT_NE(rows.find(expected.substr(7)), std::string::npos)
+            << where << "\n" << rows;
+        EXPECT_EQ(rows.rfind("error: ", 0), 0u) << where << "\n" << rows;
+      } else {
+        EXPECT_EQ(rows, expected) << where;
+      }
+      full[i++] = RenderOutcome(out, conn.stats());
+    }
+    EXPECT_EQ(full[1], full[0]) << sql << " shards=" << shards;
+  }
+}
+
+// NULL keys never match, and a build key shared by several right rows
+// emits them in right input order under each left row, in left order.
+TEST(VectorExecTest, JoinNullAndDuplicateKeysKeepOrder) {
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, b.id AS rid FROM l AS a JOIN r AS b "
+      "ON a.k = b.k",
+      "1|10|\n1|12|\n3|11|\n5|10|\n5|12|\n");
+  // The key sides swapped in the predicate classify the same way.
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, b.id AS rid FROM l AS a JOIN r AS b "
+      "ON b.k = a.k",
+      "1|10|\n1|12|\n3|11|\n5|10|\n5|12|\n");
+}
+
+TEST(VectorExecTest, LeftOuterJoinPadsUnmatchedRows) {
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, b.id AS rid, b.s AS s FROM l AS a "
+      "LEFT OUTER JOIN r AS b ON a.k = b.k",
+      "1|10|'a'|\n1|12|'c'|\n2|NULL|NULL|\n3|11|'b'|\n4|NULL|NULL|\n"
+      "5|10|'a'|\n5|12|'c'|\n");
+  // A residual that rejects every pair of a left row pads it too.
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, b.id AS rid FROM l AS a "
+      "LEFT OUTER JOIN r AS b ON a.k = b.k AND b.v > 6",
+      "1|12|\n2|NULL|\n3|NULL|\n4|NULL|\n5|12|\n");
+}
+
+// An int key matches the equal double (1 = 1.0) from either side.
+TEST(VectorExecTest, JoinIntKeyMatchesEqualDouble) {
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, d.id AS rid FROM l AS a JOIN rd AS d "
+      "ON a.k = d.kd",
+      "1|20|\n5|20|\n");
+  ExpectEdgeCase(
+      "SELECT d.id AS lid, a.id AS rid FROM rd AS d JOIN l AS a "
+      "ON d.kd = a.k",
+      "20|1|\n20|5|\n");
+}
+
+// A right-only residual is evaluated once per right row ahead of the
+// probe, but its error surfaces only when a key-matching pair reaches
+// it — and then the first such pair in output order wins.
+TEST(VectorExecTest, JoinRightOnlyResidualErrorsOnlyWhenReached) {
+  // r.14 (k = 3) matches no left row: its comparison error never shows.
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, b.id AS rid FROM l AS a JOIN r AS b "
+      "ON a.k = b.k AND CASE WHEN b.id = 14 THEN b.s > 1 ELSE b.v > 0 END",
+      "1|10|\n1|12|\n5|10|\n5|12|\n");
+  // Pairs in output order: (1,10) passes, (1,12) fails first on 'c'.
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, b.id AS rid FROM l AS a JOIN r AS b "
+      "ON a.k = b.k AND CASE WHEN b.id >= 11 THEN b.s > 1 ELSE 1 = 1 END",
+      "error: cannot compare 'c' with 1");
+  // A FALSE earlier conjunct short-circuits the erroring one.
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, b.id AS rid FROM l AS a JOIN r AS b "
+      "ON a.k = b.k AND b.v > 100 AND b.s > 1",
+      "");
+}
+
+// Residual terms over both sides, and side-only terms ordered around
+// them, fold exactly like the AND of the conjuncts.
+TEST(VectorExecTest, JoinResidualSpanningBothSides) {
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, b.id AS rid FROM l AS a JOIN r AS b "
+      "ON a.k = b.k AND b.v > a.id",
+      "1|10|\n1|12|\n5|12|\n");
+  // Left-only term after a right-only one: reached (and failing) only
+  // for pairs whose b.v > 6.
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, b.id AS rid FROM l AS a JOIN r AS b "
+      "ON a.k = b.k AND b.v > 6 AND a.name > 1",
+      "error: cannot compare 'x' with 1");
+  ExpectEdgeCase(
+      "SELECT a.id AS lid, b.id AS rid FROM l AS a JOIN r AS b "
+      "ON a.k = b.k AND b.v > 6 AND a.id + b.v > 11",
+      "5|12|\n");
+}
+
+// Self-join: the same table under two aliases, every column kept under
+// its a.* / b.* name, residual on the b side only.
+TEST(VectorExecTest, SelfJoinKeepsQualifiedNames) {
+  ExpectEdgeCase(
+      "SELECT * FROM r AS a JOIN r AS b ON a.k = b.k AND a.id < b.id",
+      "10|1|5|'a'|12|1|7|'c'|\n");
+  ExpectEdgeCase(
+      "SELECT a.id AS aid, b.id AS bid FROM r AS a JOIN r AS b "
+      "ON a.k = b.k AND b.s > 'b'",
+      "10|12|\n12|12|\n14|14|\n");
+}
+
+TEST(VectorExecTest, LimitZeroAndBeyondInput) {
+  ExpectEdgeCase("SELECT b.id AS id FROM r AS b ORDER BY b.v DESC LIMIT 0",
+                 "");
+  ExpectEdgeCase("SELECT * FROM r AS b ORDER BY b.v DESC LIMIT 0", "");
+  ExpectEdgeCase("SELECT b.id AS id FROM r AS b ORDER BY b.v DESC LIMIT 10",
+                 "12|\n10|\n13|\n11|\n14|\n");
+  ExpectEdgeCase("SELECT b.id AS id FROM r AS b ORDER BY b.v DESC LIMIT 5",
+                 "12|\n10|\n13|\n11|\n14|\n");
+}
+
+// NULL sorts first; tied keys keep input order under both directions
+// and under a top-N prefix.
+TEST(VectorExecTest, SortTiesAndNullKeys) {
+  ExpectEdgeCase("SELECT b.id AS id FROM r AS b ORDER BY b.k",
+                 "13|\n10|\n12|\n11|\n14|\n");
+  ExpectEdgeCase("SELECT b.id AS id FROM r AS b ORDER BY b.k LIMIT 2",
+                 "13|\n10|\n");
+  ExpectEdgeCase("SELECT b.id AS id FROM r AS b ORDER BY b.k DESC LIMIT 3",
+                 "14|\n11|\n10|\n");
+  ExpectEdgeCase(
+      "SELECT b.id AS id, b.k AS k FROM r AS b ORDER BY b.k DESC, b.id DESC "
+      "LIMIT 4",
+      "14|3|\n11|2|\n12|1|\n10|1|\n");
+  // Mixed int/double keys compare by value.
+  ExpectEdgeCase(
+      "SELECT a.id AS id FROM l AS a ORDER BY CASE WHEN a.id = 3 THEN 1.5 "
+      "ELSE a.k END DESC LIMIT 3",
+      "4|\n3|\n1|\n");
+}
+
+// The first failing key of the first failing row is the error — row
+// 10's second key, not row 12's first — with or without a top-N Limit.
+TEST(VectorExecTest, SortKeyErrorIsFirstInRowOrder) {
+  const char* keys =
+      " ORDER BY CASE WHEN b.id >= 12 THEN b.s * 2 ELSE 0 END, b.s * 3";
+  ExpectEdgeCase(std::string("SELECT b.id AS id FROM r AS b") + keys,
+                 "error: arithmetic on non-numeric values: 'a' vs 3");
+  ExpectEdgeCase(std::string("SELECT b.id AS id FROM r AS b") + keys +
+                     " LIMIT 1",
+                 "error: arithmetic on non-numeric values: 'a' vs 3");
+}
+
+// ---------------------------------------------------------------------------
 // Fuzzer families: every program family runs on both engines with
 // identical observable behavior.
 
