@@ -23,15 +23,15 @@ struct PerfResult {
 };
 
 /// Runs `function` through the interpreter on a fresh connection.
-/// `mode` picks the engine; simulated time and every byte/row counter
-/// are mode-invariant by the engines' cost-parity contract, so only
-/// wall time observably changes with it.
+/// `mode` picks the engine (kRow = the serial reference); simulated
+/// time and every byte/row counter are mode-invariant by the engines'
+/// cost-parity contract, so only wall time observably changes with it.
 inline PerfResult RunInterpreted(const frontend::Program& program,
                                  const std::string& function,
                                  storage::Database* db,
                                  bool prefetch = false,
                                  obs::MetricsRegistry* metrics = nullptr,
-                                 exec::ExecMode mode = exec::ExecMode::kRow) {
+                                 exec::ExecMode mode = exec::ExecMode::kVector) {
   net::Connection conn(db);
   conn.set_prefetch_mode(prefetch);
   conn.set_exec_mode(mode);

@@ -13,13 +13,13 @@ ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 echo "== tier 1: deterministic fuzz sweep (500 scenarios) =="
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --corpus tests/fuzz_corpus
-# Targeted vector-mode sweeps over 4-way shards for the families whose
-# extracted SQL runs the hash join (T4 joins with residuals) and the
-# top-N Sort/Limit (argmax -> ORDER BY ... LIMIT 1).
-./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family join \
-  --exec-mode vector --shards 4
-./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family argmax \
-  --exec-mode vector --shards 4
+# Targeted sweeps over 4-way shards for the families whose extracted
+# SQL runs the hash join (T4 joins with residuals), the top-N
+# Sort/Limit (argmax -> ORDER BY ... LIMIT 1), and the shard fan-out
+# aggregation (T5.2 group-by).
+./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family join --shards 4
+./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family argmax --shards 4
+./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family groupby --shards 4
 
 echo "== sanitizers: ASan+UBSan bounded fuzz tests =="
 cmake --preset asan >/dev/null
@@ -51,11 +51,11 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
 # under the race detector.
 ./build-tsan/src/fuzz/fuzz_eqsql --seed 7 --iters 50 --shards 8 \
   --corpus tests/fuzz_corpus
-# The vectorized engine across 8-way shards: batch-producing MVCC
-# cursors + compiled-expression shard tasks racing writers, with the
-# row engine as the in-run differential oracle.
-./build-tsan/src/fuzz/fuzz_eqsql --seed 13 --iters 50 --exec-mode vector \
-  --shards 8 --corpus tests/fuzz_corpus
+# A second seed across 8-way shards: batch-producing MVCC cursors +
+# compiled-expression shard tasks racing writers, with the row engine
+# as the in-run differential oracle.
+./build-tsan/src/fuzz/fuzz_eqsql --seed 13 --iters 50 --shards 8 \
+  --corpus tests/fuzz_corpus
 # Every case through the scheduler-backed execution path (Session ->
 # admission queue -> worker) instead of direct connections.
 ./build-tsan/src/fuzz/fuzz_eqsql --seed 7 --iters 50 --async-every 1

@@ -1,23 +1,23 @@
 #ifndef EQSQL_EXEC_EXEC_MODE_H_
 #define EQSQL_EXEC_EXEC_MODE_H_
 
-#include <cstdlib>
-#include <optional>
-#include <string_view>
-
 namespace eqsql::exec {
 
 /// Which execution engine the Executor runs.
 ///
-///  * kRow: the original row-at-a-time interpreter — one EvalScalar
-///    dispatch per expression node per row, column lookup by name.
-///  * kVector: batch-at-a-time columnar execution (see exec/batch.h) —
-///    scans materialize kBatchCapacity-row chunks per shard, predicates
-///    and projections are compiled to positional form and evaluated one
-///    dispatch per batch. Results, error selection, and cost accounting
-///    are byte-identical to kRow (proven differentially by
-///    tests/vector_exec_test.cc and the fuzzer's --exec-mode oracle);
-///    only speed differs.
+///  * kVector: the production engine — batch-at-a-time columnar
+///    execution (see exec/batch.h). Scans materialize kBatchCapacity-row
+///    chunks per shard, predicates and projections are compiled to
+///    positional form and evaluated one dispatch per batch, and scans,
+///    filters and aggregations over a base table fan out across shards
+///    on an attached worker pool.
+///  * kRow: the serial reference — the canonical row-at-a-time meaning
+///    of the query, one EvalScalar dispatch per expression node per
+///    row, column lookup by name, never fanned out. The fuzz oracle's
+///    original side and the differential tests run it; results, error
+///    selection, and cost accounting of kVector are byte-identical to
+///    it (tests/vector_exec_test.cc, the fuzz oracle). Only speed
+///    differs.
 enum class ExecMode {
   kRow,
   kVector,
@@ -25,26 +25,6 @@ enum class ExecMode {
 
 inline const char* ExecModeName(ExecMode mode) {
   return mode == ExecMode::kRow ? "row" : "vector";
-}
-
-/// Parses "row" / "vector" (nullopt otherwise).
-inline std::optional<ExecMode> ParseExecMode(std::string_view name) {
-  if (name == "row") return ExecMode::kRow;
-  if (name == "vector") return ExecMode::kVector;
-  return std::nullopt;
-}
-
-/// The server-stack default: vector, overridable per process with
-/// EQSQL_EXEC_MODE=row|vector (the runtime escape hatch the two
-/// co-resident engines are kept for). A bare Executor/Connection still
-/// defaults to kRow so the row engine stays directly testable.
-inline ExecMode DefaultExecMode() {
-  const char* env = std::getenv("EQSQL_EXEC_MODE");
-  if (env != nullptr) {
-    std::optional<ExecMode> parsed = ParseExecMode(env);
-    if (parsed.has_value()) return *parsed;
-  }
-  return ExecMode::kVector;
 }
 
 }  // namespace eqsql::exec

@@ -137,9 +137,9 @@ struct AggState {
   }
 
   /// Folds another shard's partial state into this one. Only called on
-  /// the exact (integer) path: parallel aggregation is gated off when
-  /// any double can reach Update (see ParallelAggHazard), so summation
-  /// order cannot change the result.
+  /// the exact (integer) path: the fused group-by is gated off when any
+  /// double can reach Update (see ExecGroupBy), so summation order
+  /// cannot change the result.
   void Merge(const AggState& other) {
     count += other.count;
     if (other.any) {
@@ -203,6 +203,21 @@ struct FastIntAgg {
     isum += x;
   }
 
+  void Merge(const FastIntAgg& other) {
+    count += other.count;
+    if (other.any) {
+      if (!any) {
+        any = true;
+        minv = other.minv;
+        maxv = other.maxv;
+      } else {
+        if (other.minv < minv) minv = other.minv;
+        if (maxv < other.maxv) maxv = other.maxv;
+      }
+    }
+    isum += other.isum;
+  }
+
   AggState ToAggState() const {
     AggState s;
     s.count = count;
@@ -243,7 +258,7 @@ bool SchemaHasDouble(const Schema& schema) {
 /// applicability: true if `select` (a kSelect directly over `scan`)
 /// might hit the unique-key point-lookup fast path. When this returns
 /// false, TryIndexLookup is guaranteed to fail with kNotFound, so the
-/// parallel operators can take over without changing the row-count
+/// fused shard operators can take over without changing the row-count
 /// accounting (the fast path charges 1 probe instead of a full scan).
 bool IndexLookupMightApply(const RaNode& select, const RaNode& scan,
                            const storage::Table& table) {
@@ -962,12 +977,7 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx,
     case RaOp::kScan: {
       EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
                              ResolveTable(node.table_name()));
-      if (pool_ != nullptr && table->shard_count() > 1 &&
-          table->row_count() >= parallel_threshold_) {
-        return mode_ == ExecMode::kVector ? ExecScanVectorParallel(node, *table)
-                                          : ExecScanParallel(node, *table);
-      }
-      if (mode_ == ExecMode::kVector) return ExecScanVector(node, *table);
+      if (mode_ == ExecMode::kVector) return ExecShardScan(node, *table);
       ResultSet out;
       EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
       out.rows = table->rows(ReadSnapshot());
@@ -999,37 +1009,25 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx,
             return idx;
           }
         }
-        if (!might_index && table.ok() && pool_ != nullptr &&
-            (*table)->shard_count() > 1 &&
-            (*table)->row_count() >= parallel_threshold_) {
-          if (mode_ == ExecMode::kVector) {
-            EQSQL_ASSIGN_OR_RETURN(Schema scan_schema,
-                                   OutputSchema(*node.child(0)));
-            std::unique_ptr<CompiledExpr> pred = CompiledExpr::Compile(
-                node.predicate(), scan_schema,
-                [ctx](int i) { return ctx->LookupParameter(i); });
-            if (pred != nullptr) {
-              return ExecSelectScanVectorParallel(node, **table, *pred,
-                                                  scan_schema);
-            }
-            RecordVectorFallback();
-          }
-          return ExecSelectScanParallel(node, **table, ctx);
-        }
-        // Serial fused path: stream shard cursors straight through the
-        // compiled predicate instead of materializing the whole scan,
-        // sorting it, and re-batching it through FilterVector. Reached
-        // both when no pool applies and when a unique-key lookup looked
-        // possible but missed. Compile failure falls through to the
-        // unfused attempt below, which records the fallback.
-        if (table.ok() && mode_ == ExecMode::kVector && ctx->depth() == 0) {
+        // Fused select-over-scan: stream shard cursors straight through
+        // the compiled predicate instead of materializing the whole scan
+        // and re-batching it through FilterVector. It fans out when the
+        // pool gate holds and no unique-key lookup looked possible.
+        // Otherwise it runs inline, but only at the top level; that also
+        // covers a unique-key lookup that looked possible but missed.
+        // Compile failure falls through to the unfused attempt below,
+        // which records the fallback.
+        const bool parallel =
+            table.ok() && !might_index && FansOut(**table);
+        if (table.ok() && mode_ == ExecMode::kVector &&
+            (parallel || ctx->depth() == 0)) {
           EQSQL_ASSIGN_OR_RETURN(Schema scan_schema,
                                  OutputSchema(*node.child(0)));
           std::unique_ptr<CompiledExpr> pred = CompiledExpr::Compile(
               node.predicate(), scan_schema,
               [ctx](int i) { return ctx->LookupParameter(i); });
           if (pred != nullptr) {
-            return ExecSelectScanVector(node, **table, *pred, scan_schema);
+            return ExecShardSelect(**table, parallel, *pred, scan_schema);
           }
         }
       }
@@ -1747,16 +1745,15 @@ Result<ResultSet> Executor::ExecOuterApply(const RaNode& node,
 }
 
 Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
-  // Partition-parallel partial aggregation applies when the input is a
-  // (possibly filtered) base scan and every value that can reach an
-  // aggregation state is exact: no double column in the scanned schema,
-  // no double literal or parameter in the keys / aggregate arguments /
-  // filter predicate, and no outer frames (a correlated outer column
-  // could be a double). Under those gates, merging per-shard integer
-  // partial states is order-independent and the result is byte-
-  // identical to serial execution.
-  if (ctx->depth() == 0 &&
-      (pool_ != nullptr || mode_ == ExecMode::kVector)) {
+  // Fused aggregation over a (possibly filtered) base scan streams the
+  // shard cursors through the compiled plan. It folds shards in any
+  // order and, under a pool, merges per-shard partial states, so it
+  // applies only when every value that can reach an aggregation state
+  // is exact: no double column in the scanned schema, no double literal
+  // or parameter in the keys / aggregate arguments / filter predicate,
+  // and no outer frames (a correlated outer column could be a double).
+  // Under those gates the result is byte-identical to the serial fold.
+  if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
     const RaNode* select = nullptr;
     const RaNode* scan = nullptr;
     const RaNode& child = *node.child(0);
@@ -1770,45 +1767,25 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
     Result<const storage::Table*> table =
         scan != nullptr ? ResolveTable(scan->table_name()) : nullptr;
     if (scan != nullptr && table.ok() && *table != nullptr) {
-      const bool parallel = pool_ != nullptr &&
-                            (*table)->shard_count() > 1 &&
-                            (*table)->row_count() >= parallel_threshold_;
-      if (parallel || mode_ == ExecMode::kVector) {
-        bool hazard = SchemaHasDouble((*table)->schema());
-        if (select != nullptr) {
-          hazard = hazard || IndexLookupMightApply(*select, *scan, **table) ||
-                   MayProduceDouble(select->predicate());
-        }
-        for (const ScalarExprPtr& k : node.group_keys()) {
-          hazard = hazard || MayProduceDouble(k);
-        }
-        for (const ra::AggregateSpec& a : node.aggregates()) {
-          hazard = hazard || MayProduceDouble(a.arg);
-        }
-        if (!hazard) {
-          if (mode_ == ExecMode::kVector) {
-            Result<Schema> scan_schema = OutputSchema(*scan);
-            CompiledGroupBy plan;
-            if (scan_schema.ok() &&
-                CompileGroupBy(node, select, *scan_schema, ctx, &plan)) {
-              // The serial fused twin streams the shard cursors through
-              // the same compiled plan without pool fan-out; the hazard
-              // gate above already guarantees order-independent
-              // (integer) folds, which is what lets both skip the seq
-              // sort the unfused serial fold relies on.
-              return parallel
-                         ? ExecGroupByVectorParallel(node, select, **table,
-                                                     *scan_schema, plan)
-                         : ExecGroupByVectorFused(node, select, **table, plan);
-            }
-            // In the parallel case the row engine takes over here; the
-            // serial case falls through to the unfused attempt below,
-            // which records the fallback itself.
-            if (parallel) RecordVectorFallback();
-          }
-          if (parallel) {
-            return ExecGroupByParallel(node, select, *scan, **table, ctx);
-          }
+      bool hazard = SchemaHasDouble((*table)->schema());
+      if (select != nullptr) {
+        hazard = hazard || IndexLookupMightApply(*select, *scan, **table) ||
+                 MayProduceDouble(select->predicate());
+      }
+      for (const ScalarExprPtr& k : node.group_keys()) {
+        hazard = hazard || MayProduceDouble(k);
+      }
+      for (const ra::AggregateSpec& a : node.aggregates()) {
+        hazard = hazard || MayProduceDouble(a.arg);
+      }
+      if (!hazard) {
+        Result<Schema> scan_schema = OutputSchema(*scan);
+        CompiledGroupBy plan;
+        // A plan that does not compile falls through to the unfused
+        // attempt below, which records the fallback.
+        if (scan_schema.ok() &&
+            CompileGroupBy(node, select, *scan_schema, ctx, &plan)) {
+          return ExecShardGroupBy(node, **table, plan);
         }
       }
     }
@@ -1889,414 +1866,13 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
   return out;
 }
 
-Result<ResultSet> Executor::ExecScanParallel(const RaNode& node,
-                                             const storage::Table& table) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const storage::Snapshot snap = ReadSnapshot();
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics = ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  // Per-shard profile slots: sized on the main thread before fan-out;
-  // each task writes only slot s, published by the pool barrier (the
-  // same one-writer-per-slot discipline as `gathered`).
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  // Sequence numbers are sparse under MVCC (DELETE retires a slot but
-  // never renumbers the survivors), so each task gathers (seq, row)
-  // pairs for its shard's visible versions and one merge sort restores
-  // the serial scan's insertion order.
-  std::vector<std::vector<std::pair<size_t, Row>>> gathered(
-      table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, snap, s, &gathered, &shard_metrics,
-                     parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-scan");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      size_t bytes = 0;
-      std::vector<std::pair<size_t, Row>>& rows = gathered[s];
-      for (const auto& slot : table.PinShard(s)) {
-        const Row* row = slot->VisibleRow(snap);
-        if (row == nullptr) continue;
-        bytes += catalog::RowWireSize(*row);
-        rows.emplace_back(slot->seq, *row);
-      }
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(rows.size()));
-        m.bytes->Add(static_cast<int64_t>(bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(rows.size());
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-  size_t total = 0;
-  for (const auto& g : gathered) total += g.size();
-  std::vector<std::pair<size_t, Row>> merged;
-  merged.reserve(total);
-  for (auto& g : gathered) {
-    for (auto& p : g) merged.push_back(std::move(p));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(merged.size());
-  for (auto& p : merged) out.rows.push_back(std::move(p.second));
-  rows_processed_ += out.rows.size();
-  // Shard-invariant totals mirror the serial scan exactly: same visible
-  // row count, same wire bytes.
-  if (scan_rows_ != nullptr) RecordScan(out.rows.size(), out.WireSize());
-  return out;
-}
-
-Result<ResultSet> Executor::ExecSelectScanParallel(const RaNode& node,
-                                                   const storage::Table& table,
-                                                   EvalContext* ctx) {
-  const RaNode& scan = *node.child(0);
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(scan));
-  const Schema& schema = out.schema;
-  const ScalarExprPtr& pred = node.predicate();
-
-  const storage::Snapshot snap = ReadSnapshot();
-
-  struct TaskResult {
-    std::vector<std::pair<size_t, Row>> rows;  // (seq, matched row)
-    size_t scanned = 0;    // visible rows in this shard (serial-scan parity)
-    size_t sub_rows = 0;   // subquery rows processed by the task
-    size_t scanned_bytes = 0;
-    size_t fail_seq = 0;
-    Status status = Status::OK();
-  };
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics = ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  std::vector<TaskResult> results(table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, &schema, &pred, ctx, snap, s, &results,
-                     &shard_metrics, parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-filter");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      TaskResult& r = results[s];
-      // Task-scratch Executor: rows_processed_ is per-instance, and a
-      // task must never fan out again (WorkerPool::Run is not
-      // re-entrant from a task), hence no pool on it. Metric handles
-      // are shared: counters are thread-safe and subquery scans inside
-      // the predicate must charge the same shard-invariant totals as
-      // their serial counterparts.
-      Executor ex(db_);
-      ex.guard_ = guard_;
-      ex.metrics_ = metrics_;
-      ex.scan_rows_ = scan_rows_;
-      ex.scan_bytes_ = scan_bytes_;
-      ex.parallel_batches_ = parallel_batches_;
-      ex.shard_scan_ns_ = shard_scan_ns_;
-      EvalContext local = *ctx;
-      for (const auto& slot : table.PinShard(s)) {
-        const Row* row = slot->VisibleRow(snap);
-        if (row == nullptr) continue;
-        ++r.scanned;
-        // Slots are usually in ascending seq order, but concurrent
-        // keyless inserts allocate seq before taking the shard lock,
-        // so a later slot can carry a smaller seq. Keep scanning after
-        // a failure to find this shard's MINIMUM failing seq (serial
-        // execution aborts at the globally lowest one); slots above a
-        // known failure cannot change the outcome and are skipped.
-        if (!r.status.ok() && slot->seq > r.fail_seq) continue;
-        r.scanned_bytes += catalog::RowWireSize(*row);
-        local.PushFrame(&schema, row);
-        Result<Value> v = ex.EvalScalar(pred, &local);
-        local.PopFrame();
-        if (!v.ok()) {
-          r.status = v.status();
-          r.fail_seq = slot->seq;
-          continue;
-        }
-        if (r.status.ok() && IsTruthy(*v)) {
-          r.rows.emplace_back(slot->seq, *row);
-        }
-      }
-      r.sub_rows = ex.rows_processed_;
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(r.scanned));
-        m.bytes->Add(static_cast<int64_t>(r.scanned_bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(r.scanned);
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-
-  // Serial execution aborts at the lowest failing sequence number;
-  // report that same error.
-  const TaskResult* failed = nullptr;
-  for (const TaskResult& r : results) {
-    if (!r.status.ok() &&
-        (failed == nullptr || r.fail_seq < failed->fail_seq)) {
-      failed = &r;
-    }
-  }
-  if (failed != nullptr) return failed->status;
-
-  size_t total = 0;
-  size_t scanned = 0;
-  size_t sub_rows = 0;
-  size_t scanned_bytes = 0;
-  for (const TaskResult& r : results) {
-    total += r.rows.size();
-    scanned += r.scanned;
-    sub_rows += r.sub_rows;
-    scanned_bytes += r.scanned_bytes;
-  }
-  // Shard-invariant scan totals: the serial plan's child Scan would have
-  // charged the snapshot-visible rows and their wire bytes before
-  // filtering.
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  std::vector<std::pair<size_t, Row>> merged;
-  merged.reserve(total);
-  for (TaskResult& r : results) {
-    for (auto& p : r.rows) merged.push_back(std::move(p));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(merged.size());
-  for (auto& p : merged) out.rows.push_back(std::move(p.second));
-  // Cost parity with serial: scan charged every visible row, predicate
-  // subqueries charged their rows, selection charged its output.
-  rows_processed_ += scanned + sub_rows + out.rows.size();
-  return out;
-}
-
-Result<ResultSet> Executor::ExecGroupByParallel(const RaNode& node,
-                                                const RaNode* select,
-                                                const RaNode& scan,
-                                                const storage::Table& table,
-                                                EvalContext* ctx) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  EQSQL_ASSIGN_OR_RETURN(Schema scan_schema, OutputSchema(scan));
-  const auto& keys = node.group_keys();
-  const auto& aggs = node.aggregates();
-
-  /// One shard's partial aggregation: groups in first-seen order plus
-  /// the lowest sequence number at which each group appeared, so the
-  /// merge can reproduce the serial first-seen group order exactly.
-  const storage::Snapshot snap = ReadSnapshot();
-
-  struct Partial {
-    std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-    std::vector<std::vector<Value>> keys;
-    std::vector<std::vector<AggState>> states;
-    std::vector<size_t> first_seq;
-    size_t scanned = 0;  // visible rows in this shard
-    size_t matched = 0;
-    size_t sub_rows = 0;
-    size_t scanned_bytes = 0;
-    size_t fail_seq = 0;
-    Status status = Status::OK();
-  };
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics = ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  std::vector<Partial> partials(table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, &scan_schema, &keys, &aggs, select, ctx,
-                     snap, s, &partials, &shard_metrics, parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-aggregate");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      Partial& p = partials[s];
-      Executor ex(db_);
-      ex.guard_ = guard_;
-      ex.metrics_ = metrics_;
-      ex.scan_rows_ = scan_rows_;
-      ex.scan_bytes_ = scan_bytes_;
-      ex.parallel_batches_ = parallel_batches_;
-      ex.shard_scan_ns_ = shard_scan_ns_;
-      EvalContext local = *ctx;
-      for (const auto& slot : table.PinShard(s)) {
-        const Row* row = slot->VisibleRow(snap);
-        if (row == nullptr) continue;
-        ++p.scanned;
-        // As in ExecSelectScanParallel: slot order within a shard is
-        // not guaranteed to follow seq under concurrent keyless
-        // inserts, so track the shard's minimum failing seq instead of
-        // stopping at the first failing slot. Once failed, lower-seq
-        // slots are still evaluated (a yet-earlier failure must win);
-        // their group-state updates are dead weight — the whole
-        // partial is discarded on failure.
-        if (!p.status.ok() && slot->seq > p.fail_seq) continue;
-        p.scanned_bytes += catalog::RowWireSize(*row);
-        local.PushFrame(&scan_schema, row);
-        Status status = Status::OK();
-        bool pass = true;
-        if (select != nullptr) {
-          Result<Value> v = ex.EvalScalar(select->predicate(), &local);
-          if (!v.ok()) {
-            status = v.status();
-          } else {
-            pass = IsTruthy(*v);
-          }
-        }
-        if (status.ok() && pass) {
-          if (select != nullptr) ++p.matched;
-          std::vector<Value> key;
-          key.reserve(keys.size());
-          for (const ScalarExprPtr& k : keys) {
-            Result<Value> v = ex.EvalScalar(k, &local);
-            if (!v.ok()) {
-              status = v.status();
-              break;
-            }
-            key.push_back(std::move(*v));
-          }
-          if (status.ok()) {
-            auto [it, inserted] = p.index.emplace(key, p.keys.size());
-            if (inserted) {
-              p.keys.push_back(key);
-              p.states.emplace_back(aggs.size());
-              p.first_seq.push_back(slot->seq);
-            }
-            std::vector<AggState>& states = p.states[it->second];
-            for (size_t a = 0; a < aggs.size(); ++a) {
-              if (aggs[a].func == ra::AggFunc::kCountStar) {
-                ++states[a].count;
-                continue;
-              }
-              Result<Value> v = ex.EvalScalar(aggs[a].arg, &local);
-              if (!v.ok()) {
-                status = v.status();
-                break;
-              }
-              states[a].Update(*v);
-            }
-          }
-        }
-        local.PopFrame();
-        if (!status.ok()) {
-          // The skip above admits only slots below the current failing
-          // seq, so plain assignment keeps the minimum.
-          p.status = status;
-          p.fail_seq = slot->seq;
-        }
-      }
-      p.sub_rows = ex.rows_processed_;
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(p.scanned));
-        m.bytes->Add(static_cast<int64_t>(p.scanned_bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(p.scanned);
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-
-  const Partial* failed = nullptr;
-  for (const Partial& p : partials) {
-    if (!p.status.ok() && (failed == nullptr || p.fail_seq < failed->fail_seq)) {
-      failed = &p;
-    }
-  }
-  if (failed != nullptr) return failed->status;
-
-  // Merge shard partials (ascending shard order is arbitrary here: the
-  // final group order comes from first_seq, and state merges are exact).
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> gkeys;
-  std::vector<std::vector<AggState>> gstates;
-  std::vector<size_t> gseq;
-  size_t scanned = 0;
-  size_t matched = 0;
-  size_t sub_rows = 0;
-  size_t scanned_bytes = 0;
-  for (Partial& p : partials) {
-    scanned += p.scanned;
-    matched += p.matched;
-    sub_rows += p.sub_rows;
-    scanned_bytes += p.scanned_bytes;
-    for (size_t g = 0; g < p.keys.size(); ++g) {
-      auto [it, inserted] = index.emplace(p.keys[g], gkeys.size());
-      if (inserted) {
-        gkeys.push_back(std::move(p.keys[g]));
-        gstates.push_back(std::move(p.states[g]));
-        gseq.push_back(p.first_seq[g]);
-      } else {
-        size_t i = it->second;
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          gstates[i][a].Merge(p.states[g][a]);
-        }
-        gseq[i] = std::min(gseq[i], p.first_seq[g]);
-      }
-    }
-  }
-
-  // Scalar aggregation (no keys) over empty input produces one row.
-  if (keys.empty() && gkeys.empty()) {
-    gkeys.emplace_back();
-    gstates.emplace_back(aggs.size());
-    gseq.push_back(0);
-  }
-
-  // Serial group order is first appearance in sequence order.
-  std::vector<size_t> order(gkeys.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return gseq[a] < gseq[b]; });
-
-  out.rows.reserve(order.size());
-  for (size_t g : order) {
-    Row row = std::move(gkeys[g]);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(gstates[g][a].Finalize(aggs[a].func));
-    }
-    out.rows.push_back(std::move(row));
-  }
-  // Shard-invariant scan totals, mirroring the serial child Scan over
-  // the snapshot-visible rows.
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  rows_processed_ += scanned + matched + sub_rows + out.rows.size();
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// Vectorized execution (mode_ == kVector). Every operator here is the
-// columnar twin of a row-engine operator above and must match it bit
-// for bit: same rows, same error chosen under failure (the lowest
-// sequence number, left-to-right within a row), same rows_processed_
-// and storage.scan.* charges. Only exec.batch.* observability and
-// speed may differ.
+// Vectorized execution (mode_ == kVector). Every operator here must
+// match the serial row engine above bit for bit: same rows, same error
+// chosen under failure (the lowest sequence number, left-to-right
+// within a row), same rows_processed_ and storage.scan.* charges, with
+// or without a pool. Only exec.batch.* / exec.parallel.* observability
+// and speed may differ.
 
 namespace {
 
@@ -2311,267 +1887,6 @@ size_t NextBatch(storage::ShardScanCursor* cursor, Batch* batch) {
 }
 
 }  // namespace
-
-Result<ResultSet> Executor::ExecScanVector(const RaNode& node,
-                                           const storage::Table& table) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const storage::Snapshot snap = ReadSnapshot();
-  std::vector<std::pair<size_t, Row>> acc;
-  size_t bytes = 0;
-  Batch batch;
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    storage::ShardScanCursor cursor(table, s, snap);
-    for (size_t n = NextBatch(&cursor, &batch); n != 0;
-         n = NextBatch(&cursor, &batch)) {
-      RecordBatch(n);
-      bytes += batch.wire_bytes;
-      for (size_t i = 0; i < n; ++i) {
-        acc.emplace_back(batch.seqs[i], std::move(batch.rows[i]));
-      }
-    }
-  }
-  std::sort(acc.begin(), acc.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(acc.size());
-  for (auto& p : acc) out.rows.push_back(std::move(p.second));
-  rows_processed_ += out.rows.size();
-  if (scan_rows_ != nullptr) RecordScan(out.rows.size(), bytes);
-  return out;
-}
-
-Result<ResultSet> Executor::ExecScanVectorParallel(
-    const RaNode& node, const storage::Table& table) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const storage::Snapshot snap = ReadSnapshot();
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics =
-      ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  std::vector<std::vector<std::pair<size_t, Row>>> gathered(
-      table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, snap, s, &gathered, &shard_metrics,
-                     parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-scan");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      size_t bytes = 0;
-      std::vector<std::pair<size_t, Row>>& rows = gathered[s];
-      storage::ShardScanCursor cursor(table, s, snap);
-      Batch batch;
-      for (size_t n = NextBatch(&cursor, &batch); n != 0;
-           n = NextBatch(&cursor, &batch)) {
-        RecordBatch(n);
-        bytes += batch.wire_bytes;
-        for (size_t i = 0; i < n; ++i) {
-          rows.emplace_back(batch.seqs[i], std::move(batch.rows[i]));
-        }
-      }
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(rows.size()));
-        m.bytes->Add(static_cast<int64_t>(bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(rows.size());
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-  size_t total = 0;
-  for (const auto& g : gathered) total += g.size();
-  std::vector<std::pair<size_t, Row>> merged;
-  merged.reserve(total);
-  for (auto& g : gathered) {
-    for (auto& p : g) merged.push_back(std::move(p));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(merged.size());
-  for (auto& p : merged) out.rows.push_back(std::move(p.second));
-  rows_processed_ += out.rows.size();
-  if (scan_rows_ != nullptr) RecordScan(out.rows.size(), out.WireSize());
-  return out;
-}
-
-Result<ResultSet> Executor::ExecSelectScanVectorParallel(
-    const RaNode& node, const storage::Table& table, const CompiledExpr& pred,
-    const Schema& schema) {
-  ResultSet out;
-  out.schema = schema;
-
-  const storage::Snapshot snap = ReadSnapshot();
-
-  struct TaskResult {
-    std::vector<std::pair<size_t, Row>> rows;  // (seq, matched row)
-    size_t scanned = 0;
-    size_t scanned_bytes = 0;
-    size_t fail_seq = 0;
-    Status status = Status::OK();
-  };
-  if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics =
-      ShardMetrics(table.shard_count());
-  const obs::SpanContext parent = obs::CurrentSpanContext();
-  obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  std::vector<TaskResult> results(table.shard_count());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, &pred, snap, s, &results, &shard_metrics,
-                     parent, prof] {
-      obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-filter");
-      if (tspan.active()) tspan.Attr("shard", std::to_string(s));
-      const int64_t t0 = NowNs();
-      TaskResult& r = results[s];
-      // A CompiledExpr is immutable and side-effect-free (nothing with
-      // a subquery compiles), so shard tasks share one tree with no
-      // scratch Executor: sub_rows is zero by construction, exactly as
-      // the row engine's count would be for the same predicate.
-      storage::ShardScanCursor cursor(table, s, snap);
-      Batch batch;
-      Vec v;
-      for (size_t n = NextBatch(&cursor, &batch); n != 0;
-           n = NextBatch(&cursor, &batch)) {
-        RecordBatch(n);
-        r.scanned += n;
-        r.scanned_bytes += batch.wire_bytes;
-        pred.Eval(batch.rows.data(), n, &v);
-        for (size_t i = 0; i < n; ++i) {
-          const size_t seq = batch.seqs[i];
-          // Same minimum-failing-seq discipline as the row task: slots
-          // within a shard are not guaranteed seq-ordered under
-          // concurrent keyless inserts, so keep looking for a lower
-          // failing seq after a failure and drop lanes above it.
-          if (!r.status.ok() && seq > r.fail_seq) continue;
-          if (v.ErrAt(i)) {
-            r.status = v.ErrStatus(i);
-            r.fail_seq = seq;
-            continue;
-          }
-          if (r.status.ok() && IsTruthy(v.At(i))) {
-            r.rows.emplace_back(seq, std::move(batch.rows[i]));
-          }
-        }
-      }
-      const ShardScanMetrics& m = shard_metrics[s];
-      if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(r.scanned));
-        m.bytes->Add(static_cast<int64_t>(r.scanned_bytes));
-        const int64_t elapsed = NowNs() - t0;
-        m.ns->Add(elapsed);
-        shard_scan_ns_->Record(elapsed);
-      }
-      if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(r.scanned);
-        prof->shards[s].wall_ns += NowNs() - t0;
-      }
-    });
-  }
-  pool_->Run(std::move(tasks));
-
-  const TaskResult* failed = nullptr;
-  for (const TaskResult& r : results) {
-    if (!r.status.ok() &&
-        (failed == nullptr || r.fail_seq < failed->fail_seq)) {
-      failed = &r;
-    }
-  }
-  if (failed != nullptr) return failed->status;
-
-  size_t total = 0;
-  size_t scanned = 0;
-  size_t scanned_bytes = 0;
-  for (const TaskResult& r : results) {
-    total += r.rows.size();
-    scanned += r.scanned;
-    scanned_bytes += r.scanned_bytes;
-  }
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  std::vector<std::pair<size_t, Row>> merged;
-  merged.reserve(total);
-  for (TaskResult& r : results) {
-    for (auto& p : r.rows) merged.push_back(std::move(p));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(merged.size());
-  for (auto& p : merged) out.rows.push_back(std::move(p.second));
-  rows_processed_ += scanned + out.rows.size();
-  return out;
-}
-
-Result<ResultSet> Executor::ExecSelectScanVector(const RaNode& node,
-                                                 const storage::Table& table,
-                                                 const CompiledExpr& pred,
-                                                 const Schema& schema) {
-  ResultSet out;
-  out.schema = schema;
-  const storage::Snapshot snap = ReadSnapshot();
-  std::vector<std::pair<size_t, Row>> matched;  // (seq, matched row)
-  size_t scanned = 0;
-  size_t scanned_bytes = 0;
-  Status fail = Status::OK();
-  size_t fail_seq = 0;
-  Batch batch;
-  Vec v;
-  std::vector<uint32_t> sel;
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    storage::ShardScanCursor cursor(table, s, snap);
-    for (size_t n = NextBatch(&cursor, &batch); n != 0;
-         n = NextBatch(&cursor, &batch)) {
-      RecordBatch(n);
-      scanned += n;
-      scanned_bytes += batch.wire_bytes;
-      pred.Eval(batch.rows.data(), n, &v);
-      if (!v.has_err && fail.ok()) {
-        sel.clear();
-        AppendTruthySelection(v, &sel);
-        for (uint32_t i : sel) {
-          matched.emplace_back(batch.seqs[i], std::move(batch.rows[i]));
-        }
-        continue;
-      }
-      // Same minimum-failing-seq discipline as the parallel shard task:
-      // the row engine filters the seq-sorted scan and aborts at the
-      // first failing row, so the error to surface is the one with the
-      // lowest seq across all shards.
-      for (size_t i = 0; i < n; ++i) {
-        const size_t seq = batch.seqs[i];
-        if (!fail.ok() && seq > fail_seq) continue;
-        if (v.ErrAt(i)) {
-          fail = v.ErrStatus(i);
-          fail_seq = seq;
-        }
-      }
-    }
-  }
-  // The row engine materializes and charges the entire scan before the
-  // filter sees a row, so scan costs land even when the predicate
-  // errors.
-  rows_processed_ += scanned;
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  if (!fail.ok()) return fail;
-  std::sort(matched.begin(), matched.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.rows.reserve(matched.size());
-  for (auto& p : matched) out.rows.push_back(std::move(p.second));
-  rows_processed_ += out.rows.size();
-  return out;
-}
 
 Result<ResultSet> Executor::FilterVector(ResultSet in,
                                          const CompiledExpr& pred) {
@@ -2777,393 +2092,460 @@ Result<ResultSet> Executor::GroupByVectorFold(const RaNode& node, ResultSet in,
   return out;
 }
 
-Result<ResultSet> Executor::ExecGroupByVectorFused(
-    const RaNode& node, const RaNode* select, const storage::Table& table,
-    const CompiledGroupBy& plan) {
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const auto& aggs = node.aggregates();
-  // plan.pred is non-null exactly when `select` is (CompileGroupBy);
-  // the node pointer itself is not otherwise needed here.
-  (void)select;
-  const storage::Snapshot snap = ReadSnapshot();
+// ---------------------------------------------------------------------------
+// One shard fan-out per operator. Scan, select-over-scan and
+// group-by-over-scan each have one body: per-shard work that folds a
+// shard's batches into an accumulator, then one merge over the
+// accumulators. ForEachShard runs the work as pool tasks (one
+// accumulator per shard) or inline (one accumulator for every shard);
+// the merge is the same either way.
 
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> group_keys;
-  std::vector<std::vector<AggState>> group_states;
-  std::vector<size_t> group_seq;  // minimum seq folded into the group
+namespace {
 
-  // Typed fast path, as in GroupByVectorFold. Cursor order within a
-  // shard is not guaranteed seq order, so unlike the unfused fold the
-  // fused one cannot lean on fold order at all: group output order
-  // comes from each group's minimum seq, and the caller's hazard gate
-  // keeps every state integer-exact so accumulation order is moot.
+/// (insertion seq, row) pairs gathered from shard cursors.
+using SeqRows = std::vector<std::pair<size_t, Row>>;
+
+/// Restores the serial scan's insertion order over the `rows` every
+/// accumulator gathered. Sequence numbers are sparse under MVCC (DELETE
+/// retires a slot but never renumbers the survivors) and slot order
+/// within a shard need not follow seq under concurrent keyless inserts,
+/// so one sort by seq is the merge.
+template <typename Acc>
+std::vector<Row> SeqOrderedRows(std::vector<Acc>* accs) {
+  SeqRows merged;
+  if (accs->size() == 1) {
+    merged = std::move(accs->front().rows);
+  } else {
+    size_t total = 0;
+    for (const Acc& a : *accs) total += a.rows.size();
+    merged.reserve(total);
+    for (Acc& a : *accs) {
+      for (auto& p : a.rows) merged.push_back(std::move(p));
+    }
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<Row> rows;
+  rows.reserve(merged.size());
+  for (auto& p : merged) rows.push_back(std::move(p.second));
+  return rows;
+}
+
+/// The failure serial execution would surface: the row engine
+/// evaluates the seq-ordered scan and aborts at the first failing row,
+/// so among failures the lowest seq wins.
+struct SeqFailure {
+  Status status = Status::OK();
+  size_t seq = 0;
+
+  bool ok() const { return status.ok(); }
+  /// True if a failure at `at` would precede every failure seen so far.
+  bool Earlier(size_t at) const { return status.ok() || at < seq; }
+  void Offer(Status st, size_t at) {
+    if (Earlier(at)) {
+      status = std::move(st);
+      seq = at;
+    }
+  }
+  void Offer(const SeqFailure& other) {
+    if (!other.ok()) Offer(other.status, other.seq);
+  }
+};
+
+/// One group-by accumulator: groups keyed by value with the minimum seq
+/// folded into each (the serial first-seen order), held in a typed
+/// int64 table until the first batch that is not typed demotes them to
+/// boxed keys for good. Predicate and fold failures are kept apart
+/// because the serial engine filters the whole scan before folding a
+/// row, so a predicate error anywhere outranks any fold error.
+struct GroupPartial {
+  bool boxed = false;
   std::unordered_map<int64_t, size_t> fast_index;
   std::vector<int64_t> fast_keys;
   std::vector<std::vector<FastIntAgg>> fast_states;
   std::vector<size_t> fast_seq;
-  bool fast_active = plan.keys.size() == 1;
-  auto demote_fast_groups = [&] {
-    fast_active = false;
+  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
+  std::vector<std::vector<Value>> keys;
+  std::vector<std::vector<AggState>> states;
+  std::vector<size_t> seq;
+  size_t scanned = 0;
+  size_t bytes = 0;
+  size_t matched = 0;
+  SeqFailure pred_fail;
+  SeqFailure fold_fail;
+  // Batch scratch, reused across the shards this accumulator folds.
+  Batch batch;
+  Vec pv;
+  std::vector<Vec> kv;
+  std::vector<Vec> av;
+
+  std::vector<FastIntAgg>& FastGroup(int64_t key, size_t at, size_t aggs) {
+    auto [it, inserted] = fast_index.emplace(key, fast_keys.size());
+    if (inserted) {
+      fast_keys.push_back(key);
+      fast_states.emplace_back(aggs);
+      fast_seq.push_back(at);
+    } else if (at < fast_seq[it->second]) {
+      fast_seq[it->second] = at;
+    }
+    return fast_states[it->second];
+  }
+
+  std::vector<AggState>& Group(std::vector<Value> key, size_t at,
+                               size_t aggs) {
+    auto [it, inserted] = index.emplace(key, keys.size());
+    if (inserted) {
+      keys.push_back(std::move(key));
+      states.emplace_back(aggs);
+      seq.push_back(at);
+    } else if (at < seq[it->second]) {
+      seq[it->second] = at;
+    }
+    return states[it->second];
+  }
+
+  /// Moves the typed groups into the boxed table; their seqs survive,
+  /// so first-seen group order is unchanged.
+  void Demote(size_t aggs) {
     for (size_t g = 0; g < fast_keys.size(); ++g) {
-      std::vector<Value> key{Value::Int(fast_keys[g])};
-      index.emplace(key, group_keys.size());
-      std::vector<AggState> states(aggs.size());
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        states[a] = fast_states[g][a].ToAggState();
-      }
-      group_keys.push_back(std::move(key));
-      group_states.push_back(std::move(states));
-      group_seq.push_back(fast_seq[g]);
+      std::vector<AggState>& st =
+          Group({Value::Int(fast_keys[g])}, fast_seq[g], aggs);
+      for (size_t a = 0; a < aggs; ++a) st[a] = fast_states[g][a].ToAggState();
     }
     fast_index.clear();
     fast_keys.clear();
     fast_states.clear();
     fast_seq.clear();
-  };
+    boxed = true;
+  }
 
-  size_t scanned = 0;
-  size_t scanned_bytes = 0;
-  size_t matched = 0;
-  // The serial row engine runs the filter over the whole (seq-sorted)
-  // scan before the fold sees a row, so a predicate error anywhere
-  // outranks any key/aggregate error; within each stage the lowest
-  // failing seq wins.
-  Status pred_fail = Status::OK();
-  size_t pred_fail_seq = 0;
-  Status fold_fail = Status::OK();
-  size_t fold_fail_seq = 0;
-
-  Batch batch;
-  Vec pv;
-  std::vector<Vec> kv(plan.keys.size());
-  std::vector<Vec> av(plan.aggs.size());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    storage::ShardScanCursor cursor(table, s, snap);
-    for (size_t n = NextBatch(&cursor, &batch); n != 0;
-         n = NextBatch(&cursor, &batch)) {
-      RecordBatch(n);
-      scanned += n;
-      scanned_bytes += batch.wire_bytes;
-      if (plan.pred != nullptr) plan.pred->Eval(batch.rows.data(), n, &pv);
-      for (size_t k = 0; k < plan.keys.size(); ++k) {
-        plan.keys[k]->Eval(batch.rows.data(), n, &kv[k]);
+  /// Folds another shard's groups into this one. Exact: the caller's
+  /// hazard gate keeps every state integer, so merge order is moot.
+  void Merge(GroupPartial* other, size_t aggs) {
+    if (!boxed && !other->boxed) {
+      for (size_t g = 0; g < other->fast_keys.size(); ++g) {
+        std::vector<FastIntAgg>& st =
+            FastGroup(other->fast_keys[g], other->fast_seq[g], aggs);
+        for (size_t a = 0; a < aggs; ++a) st[a].Merge(other->fast_states[g][a]);
       }
-      for (size_t a = 0; a < plan.aggs.size(); ++a) {
-        if (plan.aggs[a] != nullptr) {
-          plan.aggs[a]->Eval(batch.rows.data(), n, &av[a]);
-        }
-      }
-      if (fast_active) {
-        bool typed = kv[0].tag == Vec::Tag::kInt &&
-                     (plan.pred == nullptr || !pv.has_err);
-        for (size_t a = 0; typed && a < plan.aggs.size(); ++a) {
-          typed = plan.aggs[a] == nullptr || av[a].tag == Vec::Tag::kInt;
-        }
-        if (typed) {
-          const int64_t* lanes = kv[0].ints.data();
-          const bool pred_bool =
-              plan.pred != nullptr && pv.tag == Vec::Tag::kBool;
-          for (size_t i = 0; i < n; ++i) {
-            if (plan.pred != nullptr) {
-              const bool truthy =
-                  pred_bool ? pv.bools[i] != 0 : IsTruthy(pv.At(i));
-              if (!truthy) continue;
-              ++matched;
-            }
-            const size_t seq = batch.seqs[i];
-            auto [it, inserted] =
-                fast_index.emplace(lanes[i], fast_keys.size());
-            if (inserted) {
-              fast_keys.push_back(lanes[i]);
-              fast_states.emplace_back(aggs.size());
-              fast_seq.push_back(seq);
-            } else if (seq < fast_seq[it->second]) {
-              fast_seq[it->second] = seq;
-            }
-            std::vector<FastIntAgg>& states = fast_states[it->second];
-            for (size_t a = 0; a < aggs.size(); ++a) {
-              if (plan.aggs[a] == nullptr) {
-                ++states[a].count;  // COUNT(*)
-                continue;
-              }
-              states[a].Update(av[a].ints[i]);
-            }
-          }
-          continue;
-        }
-        demote_fast_groups();
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const size_t seq = batch.seqs[i];
-        if (plan.pred != nullptr) {
-          if (pv.ErrAt(i)) {
-            if (pred_fail.ok() || seq < pred_fail_seq) {
-              pred_fail = pv.ErrStatus(i);
-              pred_fail_seq = seq;
-            }
-            continue;
-          }
-          if (!IsTruthy(pv.At(i))) continue;
-          ++matched;
-        }
-        if (!fold_fail.ok() && seq > fold_fail_seq) continue;
-        std::vector<Value> key;
-        key.reserve(kv.size());
-        bool lane_failed = false;
-        for (const Vec& v : kv) {
-          if (v.ErrAt(i)) {
-            fold_fail = v.ErrStatus(i);
-            fold_fail_seq = seq;
-            lane_failed = true;
-            break;
-          }
-          key.push_back(v.At(i));
-        }
-        if (lane_failed) continue;
-        auto [it, inserted] = index.emplace(key, group_keys.size());
-        if (inserted) {
-          group_keys.push_back(key);
-          group_states.emplace_back(aggs.size());
-          group_seq.push_back(seq);
-        } else if (seq < group_seq[it->second]) {
-          group_seq[it->second] = seq;
-        }
-        std::vector<AggState>& states = group_states[it->second];
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          if (plan.aggs[a] == nullptr) {
-            ++states[a].count;  // COUNT(*)
-            continue;
-          }
-          if (av[a].ErrAt(i)) {
-            fold_fail = av[a].ErrStatus(i);
-            fold_fail_seq = seq;
-            break;
-          }
-          states[a].Update(av[a].At(i));
-        }
-      }
+      return;
+    }
+    Demote(aggs);
+    other->Demote(aggs);
+    for (size_t g = 0; g < other->keys.size(); ++g) {
+      std::vector<AggState>& st =
+          Group(std::move(other->keys[g]), other->seq[g], aggs);
+      for (size_t a = 0; a < aggs; ++a) st[a].Merge(other->states[g][a]);
     }
   }
-  if (fast_active) demote_fast_groups();
+};
 
-  // The scan's costs land in full before any filter or fold error
-  // surfaces, exactly as the serial row engine charges them.
-  rows_processed_ += scanned;
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  if (!pred_fail.ok()) return pred_fail;
-  rows_processed_ += matched;
-  if (!fold_fail.ok()) return fold_fail;
+}  // namespace
 
-  // Scalar aggregation (no keys) over empty input produces one row.
-  if (plan.keys.empty() && group_keys.empty()) {
-    group_keys.emplace_back();
-    group_states.emplace_back(aggs.size());
-    group_seq.push_back(0);
+template <typename Acc, typename Work>
+std::vector<Acc> Executor::ForEachShard(const storage::Table& table,
+                                        bool parallel, const char* span,
+                                        const Work& work) {
+  const size_t shards = table.shard_count();
+  if (!parallel) {
+    std::vector<Acc> accs(1);
+    for (size_t s = 0; s < shards; ++s) work(s, &accs[0]);
+    return accs;
   }
-
-  std::vector<size_t> order(group_keys.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return group_seq[a] < group_seq[b]; });
-
-  out.rows.reserve(order.size());
-  for (size_t g : order) {
-    Row row = std::move(group_keys[g]);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(group_states[g][a].Finalize(aggs[a].func));
-    }
-    out.rows.push_back(std::move(row));
-  }
-  rows_processed_ += out.rows.size();
-  return out;
-}
-
-Result<ResultSet> Executor::ExecGroupByVectorParallel(
-    const RaNode& node, const RaNode* select, const storage::Table& table,
-    const Schema& scan_schema, const CompiledGroupBy& plan) {
-  (void)scan_schema;  // compilation already bound columns positionally
-  ResultSet out;
-  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const auto& keys = node.group_keys();
-  const auto& aggs = node.aggregates();
-  const bool filtered = select != nullptr;
-
-  const storage::Snapshot snap = ReadSnapshot();
-
-  struct Partial {
-    std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-    std::vector<std::vector<Value>> keys;
-    std::vector<std::vector<AggState>> states;
-    std::vector<size_t> first_seq;
-    size_t scanned = 0;
-    size_t matched = 0;
-    size_t scanned_bytes = 0;
-    size_t fail_seq = 0;
-    Status status = Status::OK();
-  };
   if (parallel_batches_ != nullptr) parallel_batches_->Increment();
-  std::vector<ShardScanMetrics> shard_metrics =
-      ShardMetrics(table.shard_count());
+  const std::vector<ShardScanMetrics> shard_metrics = ShardMetrics(shards);
   const obs::SpanContext parent = obs::CurrentSpanContext();
+  // Per-shard profile slots: sized on the main thread before fan-out;
+  // each task writes only slot s (and accumulator s), published by the
+  // pool barrier.
   obs::ProfileNode* prof = prof_cur_;
-  if (prof != nullptr) prof->shards.resize(table.shard_count());
-  std::vector<Partial> partials(table.shard_count());
+  if (prof != nullptr) prof->shards.resize(shards);
+  std::vector<Acc> accs(shards);
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(table.shard_count());
-  for (size_t s = 0; s < table.shard_count(); ++s) {
-    tasks.push_back([this, &table, &plan, &aggs, filtered, snap, s, &partials,
-                     &shard_metrics, parent, prof] {
+  tasks.reserve(shards);
+  for (size_t s = 0; s < shards; ++s) {
+    tasks.push_back([this, &work, &accs, &shard_metrics, parent, prof, span,
+                     s] {
       obs::ScopedContext tctx(parent);
-      obs::ScopedSpan tspan("shard-aggregate");
+      obs::ScopedSpan tspan(span);
       if (tspan.active()) tspan.Attr("shard", std::to_string(s));
       const int64_t t0 = NowNs();
-      Partial& p = partials[s];
-      storage::ShardScanCursor cursor(table, s, snap);
-      Batch batch;
-      Vec pv;
-      std::vector<Vec> kv(plan.keys.size());
-      std::vector<Vec> av(plan.aggs.size());
-      for (size_t n = NextBatch(&cursor, &batch); n != 0;
-           n = NextBatch(&cursor, &batch)) {
-        RecordBatch(n);
-        p.scanned += n;
-        p.scanned_bytes += batch.wire_bytes;
-        if (plan.pred != nullptr) plan.pred->Eval(batch.rows.data(), n, &pv);
-        for (size_t k = 0; k < plan.keys.size(); ++k) {
-          plan.keys[k]->Eval(batch.rows.data(), n, &kv[k]);
-        }
-        for (size_t a = 0; a < plan.aggs.size(); ++a) {
-          if (plan.aggs[a] != nullptr) {
-            plan.aggs[a]->Eval(batch.rows.data(), n, &av[a]);
-          }
-        }
-        for (size_t i = 0; i < n; ++i) {
-          const size_t seq = batch.seqs[i];
-          // Minimum-failing-seq discipline (see the row task): the
-          // skip admits only lanes below the current failing seq, so
-          // plain status assignment keeps the minimum.
-          if (!p.status.ok() && seq > p.fail_seq) continue;
-          if (plan.pred != nullptr) {
-            if (pv.ErrAt(i)) {
-              p.status = pv.ErrStatus(i);
-              p.fail_seq = seq;
-              continue;
-            }
-            if (!IsTruthy(pv.At(i))) continue;
-          }
-          if (filtered) ++p.matched;
-          std::vector<Value> key;
-          key.reserve(kv.size());
-          bool lane_failed = false;
-          for (const Vec& v : kv) {
-            if (v.ErrAt(i)) {
-              p.status = v.ErrStatus(i);
-              p.fail_seq = seq;
-              lane_failed = true;
-              break;
-            }
-            key.push_back(v.At(i));
-          }
-          if (lane_failed) continue;
-          auto [it, inserted] = p.index.emplace(key, p.keys.size());
-          if (inserted) {
-            p.keys.push_back(key);
-            p.states.emplace_back(aggs.size());
-            p.first_seq.push_back(seq);
-          }
-          std::vector<AggState>& states = p.states[it->second];
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            if (plan.aggs[a] == nullptr) {
-              ++states[a].count;  // COUNT(*)
-              continue;
-            }
-            if (av[a].ErrAt(i)) {
-              p.status = av[a].ErrStatus(i);
-              p.fail_seq = seq;
-              break;
-            }
-            states[a].Update(av[a].At(i));
-          }
-        }
-      }
+      const ShardScanned scanned = work(s, &accs[s]);
       const ShardScanMetrics& m = shard_metrics[s];
       if (m.rows != nullptr) {
-        m.rows->Add(static_cast<int64_t>(p.scanned));
-        m.bytes->Add(static_cast<int64_t>(p.scanned_bytes));
+        m.rows->Add(static_cast<int64_t>(scanned.rows));
+        m.bytes->Add(static_cast<int64_t>(scanned.bytes));
         const int64_t elapsed = NowNs() - t0;
         m.ns->Add(elapsed);
         shard_scan_ns_->Record(elapsed);
       }
       if (prof != nullptr) {
-        prof->shards[s].rows += static_cast<int64_t>(p.scanned);
+        prof->shards[s].rows += static_cast<int64_t>(scanned.rows);
         prof->shards[s].wall_ns += NowNs() - t0;
       }
     });
   }
   pool_->Run(std::move(tasks));
+  return accs;
+}
 
-  const Partial* failed = nullptr;
-  for (const Partial& p : partials) {
-    if (!p.status.ok() && (failed == nullptr || p.fail_seq < failed->fail_seq)) {
-      failed = &p;
-    }
-  }
-  if (failed != nullptr) return failed->status;
-
-  // Merge shard partials exactly like the row engine: arbitrary shard
-  // order, final group order from the minimum first-seen seq, exact
-  // (integer) state merges only — guaranteed by the caller's hazard
-  // gates, which are identical in both modes.
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> gkeys;
-  std::vector<std::vector<AggState>> gstates;
-  std::vector<size_t> gseq;
-  size_t scanned = 0;
-  size_t matched = 0;
-  size_t scanned_bytes = 0;
-  for (Partial& p : partials) {
-    scanned += p.scanned;
-    matched += p.matched;
-    scanned_bytes += p.scanned_bytes;
-    for (size_t g = 0; g < p.keys.size(); ++g) {
-      auto [it, inserted] = index.emplace(p.keys[g], gkeys.size());
-      if (inserted) {
-        gkeys.push_back(std::move(p.keys[g]));
-        gstates.push_back(std::move(p.states[g]));
-        gseq.push_back(p.first_seq[g]);
-      } else {
-        size_t i = it->second;
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          gstates[i][a].Merge(p.states[g][a]);
+Result<ResultSet> Executor::ExecShardScan(const RaNode& node,
+                                          const storage::Table& table) {
+  ResultSet out;
+  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+  const storage::Snapshot snap = ReadSnapshot();
+  struct Acc {
+    SeqRows rows;
+    size_t bytes = 0;
+    Batch batch;
+  };
+  std::vector<Acc> accs = ForEachShard<Acc>(
+      table, FansOut(table), "shard-scan", [&](size_t s, Acc* a) {
+        const ShardScanned before{a->rows.size(), a->bytes};
+        storage::ShardScanCursor cursor(table, s, snap);
+        for (size_t n = NextBatch(&cursor, &a->batch); n != 0;
+             n = NextBatch(&cursor, &a->batch)) {
+          RecordBatch(n);
+          a->bytes += a->batch.wire_bytes;
+          for (size_t i = 0; i < n; ++i) {
+            a->rows.emplace_back(a->batch.seqs[i],
+                                 std::move(a->batch.rows[i]));
+          }
         }
-        gseq[i] = std::min(gseq[i], p.first_seq[g]);
-      }
-    }
-  }
+        return ShardScanned{a->rows.size() - before.rows,
+                            a->bytes - before.bytes};
+      });
+  size_t bytes = 0;
+  for (const Acc& a : accs) bytes += a.bytes;
+  out.rows = SeqOrderedRows(&accs);
+  rows_processed_ += out.rows.size();
+  if (scan_rows_ != nullptr) RecordScan(out.rows.size(), bytes);
+  return out;
+}
 
+Result<ResultSet> Executor::ExecShardSelect(const storage::Table& table,
+                                            bool parallel,
+                                            const CompiledExpr& pred,
+                                            const Schema& schema) {
+  const storage::Snapshot snap = ReadSnapshot();
+  struct Acc {
+    SeqRows rows;  // (seq, matched row)
+    size_t scanned = 0;
+    size_t bytes = 0;
+    SeqFailure fail;
+    Batch batch;
+    Vec v;
+    std::vector<uint32_t> sel;
+  };
+  // A CompiledExpr is immutable and side-effect-free (nothing with a
+  // subquery compiles), so shard tasks share one tree and charge no
+  // subquery rows, exactly as the row engine's count would be.
+  std::vector<Acc> accs = ForEachShard<Acc>(
+      table, parallel, "shard-filter", [&](size_t s, Acc* a) {
+        const ShardScanned before{a->scanned, a->bytes};
+        storage::ShardScanCursor cursor(table, s, snap);
+        for (size_t n = NextBatch(&cursor, &a->batch); n != 0;
+             n = NextBatch(&cursor, &a->batch)) {
+          RecordBatch(n);
+          a->scanned += n;
+          a->bytes += a->batch.wire_bytes;
+          pred.Eval(a->batch.rows.data(), n, &a->v);
+          if (!a->v.has_err && a->fail.ok()) {
+            a->sel.clear();
+            AppendTruthySelection(a->v, &a->sel);
+            for (uint32_t i : a->sel) {
+              a->rows.emplace_back(a->batch.seqs[i],
+                                   std::move(a->batch.rows[i]));
+            }
+            continue;
+          }
+          // The statement fails once any lane does, so no further row is
+          // kept; only a lower-seq failure can still change the outcome.
+          for (size_t i = 0; i < n; ++i) {
+            const size_t seq = a->batch.seqs[i];
+            if (a->fail.Earlier(seq) && a->v.ErrAt(i)) {
+              a->fail.Offer(a->v.ErrStatus(i), seq);
+            }
+          }
+        }
+        return ShardScanned{a->scanned - before.rows, a->bytes - before.bytes};
+      });
+  size_t scanned = 0;
+  size_t bytes = 0;
+  SeqFailure fail;
+  for (const Acc& a : accs) {
+    scanned += a.scanned;
+    bytes += a.bytes;
+    fail.Offer(a.fail);
+  }
+  // The row engine materializes and charges the entire scan before the
+  // filter sees a row, so scan costs land even when the predicate
+  // errors.
+  rows_processed_ += scanned;
+  if (scan_rows_ != nullptr) RecordScan(scanned, bytes);
+  if (!fail.ok()) return fail.status;
+  ResultSet out;
+  out.schema = schema;
+  out.rows = SeqOrderedRows(&accs);
+  rows_processed_ += out.rows.size();
+  return out;
+}
+
+Result<ResultSet> Executor::ExecShardGroupBy(const RaNode& node,
+                                             const storage::Table& table,
+                                             const CompiledGroupBy& plan) {
+  ResultSet out;
+  EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
+  const size_t aggs = node.aggregates().size();
+  const storage::Snapshot snap = ReadSnapshot();
+
+  // Cursor order within a shard is not guaranteed seq order, so the
+  // fold cannot lean on it: group output order comes from each group's
+  // minimum seq, and the caller's hazard gate keeps every state
+  // integer-exact so accumulation and merge order are moot.
+  std::vector<GroupPartial> partials = ForEachShard<GroupPartial>(
+      table, FansOut(table), "shard-aggregate",
+      [&](size_t s, GroupPartial* p) {
+        const ShardScanned before{p->scanned, p->bytes};
+        // Typed fast path: a single integer group key whose aggregate
+        // inputs are all integer (or COUNT(*), which reads none) folds
+        // through an int64-keyed table with primitive partials. A typed
+        // Vec holds no NULL and no error lanes by construction, so the
+        // fast path cannot diverge from the boxed fold.
+        if (plan.keys.size() != 1) p->boxed = true;
+        p->kv.resize(plan.keys.size());
+        p->av.resize(plan.aggs.size());
+        storage::ShardScanCursor cursor(table, s, snap);
+        for (size_t n = NextBatch(&cursor, &p->batch); n != 0;
+             n = NextBatch(&cursor, &p->batch)) {
+          RecordBatch(n);
+          p->scanned += n;
+          p->bytes += p->batch.wire_bytes;
+          const Row* rows = p->batch.rows.data();
+          if (plan.pred != nullptr) plan.pred->Eval(rows, n, &p->pv);
+          for (size_t k = 0; k < plan.keys.size(); ++k) {
+            plan.keys[k]->Eval(rows, n, &p->kv[k]);
+          }
+          for (size_t a = 0; a < aggs; ++a) {
+            if (plan.aggs[a] != nullptr) plan.aggs[a]->Eval(rows, n, &p->av[a]);
+          }
+          if (!p->boxed) {
+            bool typed = p->kv[0].tag == Vec::Tag::kInt &&
+                         (plan.pred == nullptr || !p->pv.has_err);
+            for (size_t a = 0; typed && a < aggs; ++a) {
+              typed = plan.aggs[a] == nullptr || p->av[a].tag == Vec::Tag::kInt;
+            }
+            if (typed) {
+              const int64_t* lanes = p->kv[0].ints.data();
+              const bool pred_bool =
+                  plan.pred != nullptr && p->pv.tag == Vec::Tag::kBool;
+              for (size_t i = 0; i < n; ++i) {
+                if (plan.pred != nullptr) {
+                  const bool truthy = pred_bool ? p->pv.bools[i] != 0
+                                                : IsTruthy(p->pv.At(i));
+                  if (!truthy) continue;
+                  ++p->matched;
+                }
+                std::vector<FastIntAgg>& states =
+                    p->FastGroup(lanes[i], p->batch.seqs[i], aggs);
+                for (size_t a = 0; a < aggs; ++a) {
+                  if (plan.aggs[a] == nullptr) {
+                    ++states[a].count;  // COUNT(*)
+                    continue;
+                  }
+                  states[a].Update(p->av[a].ints[i]);
+                }
+              }
+              continue;
+            }
+            p->Demote(aggs);
+          }
+          for (size_t i = 0; i < n; ++i) {
+            const size_t seq = p->batch.seqs[i];
+            if (plan.pred != nullptr) {
+              if (p->pv.ErrAt(i)) {
+                if (p->pred_fail.Earlier(seq)) {
+                  p->pred_fail.Offer(p->pv.ErrStatus(i), seq);
+                }
+                continue;
+              }
+              if (!IsTruthy(p->pv.At(i))) continue;
+              ++p->matched;
+            }
+            if (!p->fold_fail.Earlier(seq)) continue;
+            // Keys before aggregates, left to right: the row fold's
+            // error order within a row.
+            std::vector<Value> key;
+            key.reserve(p->kv.size());
+            bool lane_failed = false;
+            for (const Vec& v : p->kv) {
+              if (v.ErrAt(i)) {
+                p->fold_fail.Offer(v.ErrStatus(i), seq);
+                lane_failed = true;
+                break;
+              }
+              key.push_back(v.At(i));
+            }
+            if (lane_failed) continue;
+            std::vector<AggState>& states = p->Group(std::move(key), seq, aggs);
+            for (size_t a = 0; a < aggs; ++a) {
+              if (plan.aggs[a] == nullptr) {
+                ++states[a].count;  // COUNT(*)
+                continue;
+              }
+              if (p->av[a].ErrAt(i)) {
+                p->fold_fail.Offer(p->av[a].ErrStatus(i), seq);
+                break;
+              }
+              states[a].Update(p->av[a].At(i));
+            }
+          }
+        }
+        return ShardScanned{p->scanned - before.rows, p->bytes - before.bytes};
+      });
+
+  size_t scanned = 0;
+  size_t bytes = 0;
+  size_t matched = 0;
+  SeqFailure pred_fail;
+  SeqFailure fold_fail;
+  for (const GroupPartial& p : partials) {
+    scanned += p.scanned;
+    bytes += p.bytes;
+    matched += p.matched;
+    pred_fail.Offer(p.pred_fail);
+    fold_fail.Offer(p.fold_fail);
+  }
+  // The scan's costs land in full before any filter or fold error
+  // surfaces, exactly as the serial row engine charges them.
+  rows_processed_ += scanned;
+  if (scan_rows_ != nullptr) RecordScan(scanned, bytes);
+  if (!pred_fail.ok()) return pred_fail.status;
+  rows_processed_ += matched;
+  if (!fold_fail.ok()) return fold_fail.status;
+
+  GroupPartial& total = partials.front();
+  for (size_t i = 1; i < partials.size(); ++i) {
+    total.Merge(&partials[i], aggs);
+  }
+  total.Demote(aggs);
   // Scalar aggregation (no keys) over empty input produces one row.
-  if (keys.empty() && gkeys.empty()) {
-    gkeys.emplace_back();
-    gstates.emplace_back(aggs.size());
-    gseq.push_back(0);
-  }
+  if (plan.keys.empty() && total.keys.empty()) total.Group({}, 0, aggs);
 
-  std::vector<size_t> order(gkeys.size());
+  std::vector<size_t> order(total.keys.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return gseq[a] < gseq[b]; });
-
+            [&](size_t a, size_t b) { return total.seq[a] < total.seq[b]; });
+  const auto& specs = node.aggregates();
   out.rows.reserve(order.size());
   for (size_t g : order) {
-    Row row = std::move(gkeys[g]);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(gstates[g][a].Finalize(aggs[a].func));
+    Row row = std::move(total.keys[g]);
+    for (size_t a = 0; a < aggs; ++a) {
+      row.push_back(total.states[g][a].Finalize(specs[a].func));
     }
     out.rows.push_back(std::move(row));
   }
-  if (scan_rows_ != nullptr) RecordScan(scanned, scanned_bytes);
-  rows_processed_ += scanned + matched + out.rows.size();
+  rows_processed_ += out.rows.size();
   return out;
 }
 

@@ -73,21 +73,21 @@ class EvalContext {
 /// shared_ptr<const RaNode> and are never mutated during execution, so
 /// one cached plan may be executed by many sessions at once. One
 /// Executor instance itself is single-threaded: rows_processed_ is
-/// per-run scratch. Partition-parallel operators (scan, filter over a
-/// scan, aggregation over a scan) spawn per-shard tasks onto a
-/// WorkerPool when one is attached; each task runs its own scratch
-/// Executor, so the contract holds per task.
+/// per-run scratch. The vector engine's operators over a base table
+/// (scan, filter over a scan, aggregation over a scan) spawn per-shard
+/// tasks onto a WorkerPool when one is attached; the tasks evaluate
+/// only compiled expressions and write only their own accumulators.
 class Executor {
  public:
   explicit Executor(const storage::Database* db) : db_(db) {}
 
-  /// Attaches a shard worker pool. With a pool, full-table scans,
-  /// filters directly over a scan, and aggregations over a (filtered)
-  /// scan fan out one task per shard when the table has at least
-  /// `parallel threshold` rows and more than one shard. Results are
-  /// byte-identical to serial execution: rows reassemble by insertion
-  /// sequence and aggregation merges are gated to exact
-  /// (non-floating-point) states.
+  /// Attaches a shard worker pool. With a pool, the vector engine's
+  /// full-table scans, filters directly over a scan, and aggregations
+  /// over a (filtered) scan fan out one task per shard when the table
+  /// has at least `parallel threshold` rows and more than one shard.
+  /// Results are byte-identical to serial execution: rows reassemble by
+  /// insertion sequence and aggregation merges are gated to exact
+  /// (non-floating-point) states. The row engine never fans out.
   void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
 
   /// Minimum table row count before parallel operators engage (small
@@ -95,15 +95,14 @@ class Executor {
   /// non-empty eligible table — used by the invariance tests.
   void set_parallel_threshold(size_t n) { parallel_threshold_ = n; }
 
-  /// Selects the execution engine (see exec/exec_mode.h). kVector
-  /// routes scans, filters, projections, and group-by folds through the
-  /// batch-at-a-time columnar path; expressions the batch compiler
-  /// cannot handle (correlated references, EXISTS subqueries, unbound
-  /// parameters) fall back to the row engine per operator, counted in
-  /// exec.batch.fallbacks. Results, errors, and cost accounting are
-  /// identical in both modes. Defaults to kRow so a bare Executor keeps
-  /// the original engine directly testable; the server stack applies
-  /// ServerOptions::exec_mode.
+  /// Selects the execution engine (see exec/exec_mode.h). kVector, the
+  /// default, is the production engine: scans, filters, projections,
+  /// and group-by folds run batch-at-a-time; expressions the batch
+  /// compiler cannot handle (correlated references, EXISTS subqueries,
+  /// unbound parameters) fall back to row evaluation per operator,
+  /// counted in exec.batch.fallbacks. kRow is the serial reference the
+  /// differential tests and the fuzz oracle compare against. Results,
+  /// errors, and cost accounting are identical in both modes.
   void set_exec_mode(ExecMode mode) { mode_ = mode; }
   ExecMode exec_mode() const { return mode_; }
 
@@ -221,17 +220,6 @@ class Executor {
                              EvalContext* ctx);
   Result<ResultSet> ExecOuterApply(const ra::RaNode& node, EvalContext* ctx);
   Result<ResultSet> ExecGroupBy(const ra::RaNode& node, EvalContext* ctx);
-  /// Per-shard parallel variants; preconditions checked by callers.
-  Result<ResultSet> ExecScanParallel(const ra::RaNode& node,
-                                     const storage::Table& table);
-  Result<ResultSet> ExecSelectScanParallel(const ra::RaNode& node,
-                                           const storage::Table& table,
-                                           EvalContext* ctx);
-  Result<ResultSet> ExecGroupByParallel(const ra::RaNode& node,
-                                        const ra::RaNode* select,
-                                        const ra::RaNode& scan,
-                                        const storage::Table& table,
-                                        EvalContext* ctx);
 
   /// A group-by whose pieces all compiled for batch evaluation:
   /// optional filter predicate, key expressions, and aggregate
@@ -248,29 +236,41 @@ class Executor {
                       const catalog::Schema& schema, EvalContext* ctx,
                       CompiledGroupBy* out);
 
-  /// Vectorized operators (mode_ == kVector). Each mirrors its row
-  /// twin's results, error selection, and cost accounting exactly.
-  Result<ResultSet> ExecScanVector(const ra::RaNode& node,
-                                   const storage::Table& table);
-  Result<ResultSet> ExecScanVectorParallel(const ra::RaNode& node,
-                                           const storage::Table& table);
-  Result<ResultSet> ExecSelectScanVector(const ra::RaNode& node,
-                                         const storage::Table& table,
-                                         const CompiledExpr& pred,
-                                         const catalog::Schema& schema);
-  Result<ResultSet> ExecSelectScanVectorParallel(const ra::RaNode& node,
-                                                 const storage::Table& table,
-                                                 const CompiledExpr& pred,
-                                                 const catalog::Schema& schema);
-  Result<ResultSet> ExecGroupByVectorParallel(const ra::RaNode& node,
-                                              const ra::RaNode* select,
-                                              const storage::Table& table,
-                                              const catalog::Schema& scan_schema,
-                                              const CompiledGroupBy& plan);
-  Result<ResultSet> ExecGroupByVectorFused(const ra::RaNode& node,
-                                           const ra::RaNode* select,
-                                           const storage::Table& table,
-                                           const CompiledGroupBy& plan);
+  /// Rows and wire bytes one shard task scanned, for the per-shard
+  /// metrics and the profile's shard slot.
+  struct ShardScanned {
+    size_t rows = 0;
+    size_t bytes = 0;
+  };
+  /// True when an operator over `table` fans out on the pool: a pool is
+  /// attached, the table has more than one shard and at least the
+  /// parallel threshold of rows.
+  bool FansOut(const storage::Table& table) const {
+    return pool_ != nullptr && table.shard_count() > 1 &&
+           table.row_count() >= parallel_threshold_;
+  }
+  /// The one shard fan-out behind scan, select-over-scan and
+  /// group-by-over-scan. `work(s, acc)` folds shard `s` into `*acc` and
+  /// returns what it scanned. When `parallel`, every shard runs as
+  /// its own pool task with its own accumulator, under a `span` span,
+  /// and charges the per-shard metrics and profile slots; otherwise the
+  /// shards run inline, in shard order, into one accumulator. Returns
+  /// the accumulators (one per shard, or the single inline one).
+  template <typename Acc, typename Work>
+  std::vector<Acc> ForEachShard(const storage::Table& table, bool parallel,
+                                const char* span, const Work& work);
+
+  /// Vectorized operators over a base table (mode_ == kVector), each one
+  /// body over ForEachShard. Each mirrors the serial row engine's
+  /// results, error selection, and cost accounting exactly.
+  Result<ResultSet> ExecShardScan(const ra::RaNode& node,
+                                  const storage::Table& table);
+  Result<ResultSet> ExecShardSelect(const storage::Table& table,
+                                    bool parallel, const CompiledExpr& pred,
+                                    const catalog::Schema& schema);
+  Result<ResultSet> ExecShardGroupBy(const ra::RaNode& node,
+                                     const storage::Table& table,
+                                     const CompiledGroupBy& plan);
   Result<ResultSet> FilterVector(ResultSet in, const CompiledExpr& pred);
   Result<ResultSet> ProjectVector(const ra::RaNode& node, ResultSet in,
                                   const std::vector<std::unique_ptr<CompiledExpr>>& items);
@@ -327,7 +327,7 @@ class Executor {
   const storage::ReadGuard* guard_ = nullptr;
   WorkerPool* pool_ = nullptr;
   size_t parallel_threshold_ = 512;
-  ExecMode mode_ = ExecMode::kRow;
+  ExecMode mode_ = ExecMode::kVector;
   size_t rows_processed_ = 0;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Counter* scan_rows_ = nullptr;

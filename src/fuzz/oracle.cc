@@ -507,11 +507,12 @@ OracleReport RunTxnOracle(const FuzzCase& c, const OracleOptions& opts) {
     report.detail = "replay database setup: " + s.ToString();
     return report;
   }
-  // The replay connection deliberately keeps its default row engine:
+  // The replay connection deliberately runs the serial row engine:
   // when the live run executed on the vector engine, live-vs-replay
   // agreement doubles as a row-vs-vector differential over the
   // schedule's SELECT cardinalities and final table contents.
   net::Connection replay_conn(&replay_db);
+  replay_conn.set_exec_mode(exec::ExecMode::kRow);
   for (size_t u = 0; u < units.size(); ++u) {
     for (const auto& [sql, live_rows] : units[u]) {
       ++report.rewritten_queries;
@@ -687,6 +688,7 @@ OracleReport RunIndexOracle(const FuzzCase& c, const OracleOptions& opts) {
   std::vector<net::Client*> plain_clients;
   for (int i = 0; i < sessions; ++i) {
     plain_owned.push_back(std::make_unique<net::Connection>(&plain_db));
+    plain_owned.back()->set_exec_mode(exec::ExecMode::kRow);
     plain_clients.push_back(plain_owned.back().get());
   }
   bool plain_injected = false;
@@ -886,8 +888,10 @@ OracleReport RunOracleImpl(const FuzzCase& c, const OracleOptions& opts) {
     c2.set_worker_pool(pool.get());
     c2.set_parallel_threshold(0);
   }
-  // c1 keeps the Connection default (row engine); the rewrite runs on
-  // the requested engine so every pass is also a row-vs-vector check.
+  // The original runs on the serial row engine (the reference); the
+  // rewrite runs on the requested engine so every pass is also a
+  // row-vs-vector check.
+  c1.set_exec_mode(exec::ExecMode::kRow);
   c2.set_exec_mode(opts.exec_mode);
   c2.set_trace(true);
   interp::Interpreter i1(&*program, &c1);

@@ -23,9 +23,8 @@ size_t ResolveExecThreads(size_t requested) {
   return hw > 1 ? hw - 1 : 1;
 }
 
-/// ServerOptions::trace_sample of 0 defers to EQSQL_TRACE_SAMPLE, the
-/// same pattern exec_mode uses with EQSQL_EXEC_MODE. Unparsable values
-/// keep sampling off.
+/// ServerOptions::trace_sample of 0 defers to EQSQL_TRACE_SAMPLE.
+/// Unparsable values keep sampling off.
 size_t ResolveTraceSample(size_t requested) {
   if (requested != 0) return requested;
   const char* env = std::getenv("EQSQL_TRACE_SAMPLE");

@@ -46,12 +46,12 @@ struct ServerOptions {
   /// Minimum table row count before per-shard parallel operators engage
   /// (forwarded to every session's Executor).
   size_t parallel_threshold = 512;
-  /// Execution engine for every session and scheduler worker link:
-  /// vectorized batch-at-a-time by default, row-at-a-time as the
-  /// runtime fallback (--exec-mode=row / EQSQL_EXEC_MODE=row). The two
-  /// engines produce byte-identical results; only speed and the
-  /// exec.batch.* observability differ.
-  exec::ExecMode exec_mode = exec::DefaultExecMode();
+  /// Execution engine for every session and scheduler worker link: the
+  /// vectorized production engine. kRow selects the serial reference,
+  /// which the fuzz oracle runs its original side on. The two engines
+  /// produce byte-identical results; only speed and the exec.batch.* /
+  /// exec.parallel.* observability differ.
+  exec::ExecMode exec_mode = exec::ExecMode::kVector;
   /// Worker threads in the request scheduler (the execution engine
   /// behind Session::Submit/Execute). 0 = default (2).
   size_t scheduler_workers = 0;

@@ -194,9 +194,10 @@ TEST(ExplainAnalyzeTest, TopNKeepsFullActRowsUnderLimit) {
 // tree's rows_in total (the slot rows live on the scanned plan node,
 // the registry charge posts wherever the executor attributes it — the
 // TREE totals are the contract, per-node attribution is presentation).
+// The serial row reference never fans out, so it records no slots.
 TEST(ExplainAnalyzeTest, ShardSlotsReconcileWithNodeTotals) {
+  std::unique_ptr<storage::Database> db = MakeDb(8);
   for (exec::ExecMode mode : kExecModes) {
-    std::unique_ptr<storage::Database> db = MakeDb(8);
     net::Connection conn(db.get());
     conn.set_exec_mode(mode);
     exec::WorkerPool pool(2);
@@ -213,14 +214,19 @@ TEST(ExplainAnalyzeTest, ShardSlotsReconcileWithNodeTotals) {
         conn.Perform(net::Request::Query("SELECT * FROM t AS t0"));
     conn.set_profile(nullptr);
     ASSERT_TRUE(out.ok()) << out.status.ToString();
+    EXPECT_EQ(out.rows.rows.size(), 200u) << exec::ExecModeName(mode);
 
     const obs::ProfileNode* scan = FindSharded(profile.root());
+    if (mode == exec::ExecMode::kRow) {
+      EXPECT_EQ(scan, nullptr) << "the row reference recorded shard slots";
+      EXPECT_EQ(SumRowsIn(profile.root()), 200);
+      continue;
+    }
     ASSERT_NE(scan, nullptr) << "no operator recorded shard slots";
     ASSERT_EQ(scan->shards.size(), 8u);
     int64_t slot_rows = 0;
     for (const auto& slot : scan->shards) slot_rows += slot.rows;
-    EXPECT_EQ(slot_rows, SumRowsIn(profile.root()))
-        << "mode=" << exec::ExecModeName(mode);
+    EXPECT_EQ(slot_rows, SumRowsIn(profile.root()));
     EXPECT_EQ(slot_rows, 200);
     // The rendered report carries the breakdown, one line per shard.
     std::string text = profile.ToText();
@@ -243,8 +249,9 @@ TEST(ExplainAnalyzeTest, DirectConnectionRendersEstimatesBesideActuals) {
       << out.status.ToString();
   EXPECT_EQ(out.explain.kind, net::Explain::Kind::kAnalyze);
   const std::string& report = out.explain.text;
-  // Header names the engine and the actual result cardinality.
-  EXPECT_NE(report.find("EXPLAIN ANALYZE (row, rows=5)"), std::string::npos)
+  // Header names the engine (a bare Connection runs the vector
+  // production engine) and the actual result cardinality.
+  EXPECT_NE(report.find("EXPLAIN ANALYZE (vector, rows=5)"), std::string::npos)
       << report;
   // Every operator line carries estimated and actual columns; the
   // estimator annotated every executed node, so no "-" placeholders.

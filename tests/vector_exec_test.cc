@@ -16,10 +16,11 @@
 //  2. The fuzzer's program families: every family's generated programs
 //     run to completion on both engines with identical return values,
 //     print streams, and transfer counters.
-// Every case sweeps shard counts 1, 2, and 8 with the partition-
-// parallel operators forced on (threshold 0) whenever a pool exists,
-// so the serial fold, the parallel fold, and the row fallback paths
-// all get compared. scripts/verify.sh runs this suite under TSan too.
+// Every case sweeps shard counts 1, 2, and 8 with the vector engine's
+// shard fan-out forced on (threshold 0) whenever a pool exists, so the
+// fanned-out fold, the inline fold, and the row fallback paths all get
+// compared against the serial row reference. scripts/verify.sh runs
+// this suite under TSan too.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +43,7 @@
 #include "fuzz/scenario.h"
 #include "interp/interpreter.h"
 #include "net/connection.h"
+#include "obs/metrics.h"
 #include "storage/database.h"
 
 namespace eqsql {
@@ -321,6 +323,68 @@ TEST(VectorExecTest, TombstonesSurviveVacuum) {
     db->Vacuum();
   };
   SweepShards(setup, StandardQueries(), "post-vacuum");
+}
+
+// Predicate and fold errors in one aggregation: row 0 passes the filter
+// through the short-circuit and fails the fold ('x' * 2), every later
+// row fails the filter itself ('x' > 1). The serial engine filters the
+// whole scan before it folds a row, so the predicate error wins even
+// though the fold error has the lower seq — with or without a pool,
+// in both engines. Every run charges the full 8-row scan before the
+// error surfaces, so storage.scan.* is pool-invariant on the error path
+// too.
+TEST(VectorExecTest, ErrorPrecedenceAndScanChargesArePoolInvariant) {
+  storage::DatabaseOptions dbo;
+  dbo.shard_count = 2;
+  storage::Database db(dbo);
+  auto table = db.CreateTable("f", Schema({{"id", DataType::kInt64},
+                                           {"fk", DataType::kInt64},
+                                           {"name", DataType::kString}}));
+  ASSERT_TRUE(table.ok());
+  for (int64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE((*table)
+                    ->Insert({Value::Int(i), Value::Int(i == 0 ? 1 : 2),
+                              Value::String("x")})
+                    .ok());
+  }
+  const char* kWhere = " FROM f AS m WHERE m.fk = 1 OR m.name > 1";
+  const std::string queries[] = {
+      std::string("SELECT SUM(m.name * 2) AS s") + kWhere,
+      std::string("SELECT m.fk, SUM(m.name * 2) AS s") + kWhere +
+          " GROUP BY m.fk",
+      std::string("SELECT *") + kWhere,
+  };
+  exec::WorkerPool pool(2);
+  for (const std::string& sql : queries) {
+    std::string reference;
+    for (exec::ExecMode mode : {exec::ExecMode::kRow, exec::ExecMode::kVector}) {
+      for (bool pooled : {false, true}) {
+        obs::MetricsRegistry reg;
+        net::Connection conn(&db);
+        conn.set_exec_mode(mode);
+        conn.set_metrics(&reg);
+        if (pooled) {
+          conn.set_worker_pool(&pool);
+          conn.set_parallel_threshold(0);
+        }
+        net::Outcome out = conn.Perform(net::Request::Query(sql));
+        const obs::MetricsSnapshot snap = reg.Snapshot();
+        const std::string run =
+            RenderOutcome(out, conn.stats()) +
+            "scan rows=" + std::to_string(snap.counters.at("storage.scan.rows")) +
+            " bytes=" + std::to_string(snap.counters.at("storage.scan.bytes"));
+        const std::string where = sql + " mode=" + exec::ExecModeName(mode) +
+                                  (pooled ? " pooled" : " serial");
+        EXPECT_NE(run.find("error: "), std::string::npos) << where << "\n" << run;
+        EXPECT_NE(run.find("cannot compare"), std::string::npos)
+            << where << "\n" << run;
+        EXPECT_NE(run.find("scan rows=8 "), std::string::npos)
+            << where << "\n" << run;
+        if (reference.empty()) reference = run;
+        EXPECT_EQ(run, reference) << where;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
