@@ -16,10 +16,12 @@ echo "== tier 1: deterministic fuzz sweep (500 scenarios) =="
 # Targeted sweeps over 4-way shards for the families whose extracted
 # SQL runs the hash join (T4 joins with residuals), the top-N
 # Sort/Limit (argmax -> ORDER BY ... LIMIT 1), and the shard fan-out
-# aggregation (T5.2 group-by).
+# aggregation (T5.2 group-by), and the correlated OuterApply (T7),
+# whose outer frames are rows lent by the scan below it.
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family join --shards 4
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family argmax --shards 4
 ./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family groupby --shards 4
+./build/src/fuzz/fuzz_eqsql --seed 1 --iters 500 --family apply --shards 4
 
 echo "== sanitizers: ASan+UBSan bounded fuzz tests =="
 cmake --preset asan >/dev/null

@@ -23,13 +23,13 @@ namespace {
 /// the workloads' hot columns are int-dense, and a kInt vector unlocks
 /// the arithmetic/comparison tight loops. Any non-int value (NULL,
 /// string, double, bool) restarts the gather boxed.
-void GatherColumn(const Row* rows, size_t n, size_t col, Vec* out) {
+void GatherColumn(const Row* const* rows, size_t n, size_t col, Vec* out) {
   out->ResetInt(n);
   for (size_t i = 0; i < n; ++i) {
-    const Value& v = rows[i][col];
+    const Value& v = (*rows[i])[col];
     if (!v.is_int()) {
       out->ResetBoxed(n);
-      for (size_t j = 0; j < n; ++j) out->boxed[j] = rows[j][col];
+      for (size_t j = 0; j < n; ++j) out->boxed[j] = (*rows[j])[col];
       return;
     }
     out->ints[i] = v.AsInt();
@@ -257,7 +257,7 @@ std::unique_ptr<CompiledExpr> CompiledExpr::Compile(
   return node;
 }
 
-void CompiledExpr::Eval(const Row* rows, size_t n, Vec* out) const {
+void CompiledExpr::Eval(const Row* const* rows, size_t n, Vec* out) const {
   switch (op_) {
     case ScalarOp::kColumnRef:
       GatherColumn(rows, n, col_, out);
@@ -368,8 +368,26 @@ void CompiledExpr::Eval(const Row* rows, size_t n, Vec* out) const {
     case ScalarOp::kGreatest:
     case ScalarOp::kLeast: {
       std::vector<Vec> vs(kids_.size());
+      bool all_int = !kids_.empty();
       for (size_t k = 0; k < kids_.size(); ++k) {
         kids_[k]->Eval(rows, n, &vs[k]);
+        all_int = all_int && vs[k].tag == Vec::Tag::kInt;
+      }
+      if (all_int) {
+        // Typed lanes hold no NULL, so the pick is a plain int max/min.
+        out->ResetInt(n);
+        int64_t* o = out->ints.data();
+        const int64_t* first = vs[0].ints.data();
+        for (size_t i = 0; i < n; ++i) o[i] = first[i];
+        for (size_t k = 1; k < vs.size(); ++k) {
+          const int64_t* x = vs[k].ints.data();
+          if (op_ == ScalarOp::kGreatest) {
+            for (size_t i = 0; i < n; ++i) o[i] = o[i] < x[i] ? x[i] : o[i];
+          } else {
+            for (size_t i = 0; i < n; ++i) o[i] = x[i] < o[i] ? x[i] : o[i];
+          }
+        }
+        return;
       }
       out->ResetBoxed(n);
       std::vector<Value> args;

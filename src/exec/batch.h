@@ -18,14 +18,16 @@ namespace eqsql::exec {
 inline constexpr size_t kBatchCapacity = 1024;
 
 /// One scan chunk flowing through the vectorized operators: up to
-/// kBatchCapacity rows materialized from a shard's visible MVCC
+/// kBatchCapacity rows a shard cursor lent from its visible MVCC
 /// versions, parallel to their insertion sequence numbers, plus the
-/// chunk's accumulated wire size. Rows are copies — version pointers
-/// must not outlive the producing cursor's pin, since Vacuum retires
-/// superseded versions concurrently.
+/// chunk's accumulated wire size. The batch owns no row: each lane
+/// points at an immutable version, valid while the read snapshot stays
+/// pinned (the lending contract on storage::ShardScanCursor), so an
+/// operator reads columns in place and keeps a row by keeping its
+/// pointer.
 struct Batch {
   std::vector<size_t> seqs;
-  std::vector<catalog::Row> rows;
+  std::vector<const catalog::Row*> rows;
   size_t wire_bytes = 0;
 
   size_t size() const { return rows.size(); }
@@ -124,10 +126,11 @@ class CompiledExpr {
                                                const catalog::Schema& schema,
                                                const ParamLookup& params);
 
-  /// Evaluates over rows[0..n), writing one lane per row into `out`.
-  /// Thread-safe: a compiled tree is immutable and may be evaluated by
-  /// many shard tasks at once.
-  void Eval(const catalog::Row* rows, size_t n, Vec* out) const;
+  /// Evaluates over *rows[0..n), writing one lane per row into `out`.
+  /// Rows are read by reference (lent scan versions or operator-built
+  /// rows alike). Thread-safe: a compiled tree is immutable and may be
+  /// evaluated by many shard tasks at once.
+  void Eval(const catalog::Row* const* rows, size_t n, Vec* out) const;
 
  private:
   CompiledExpr() = default;

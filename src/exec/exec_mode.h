@@ -6,11 +6,11 @@ namespace eqsql::exec {
 /// Which execution engine the Executor runs.
 ///
 ///  * kVector: the production engine — batch-at-a-time columnar
-///    execution (see exec/batch.h). Scans materialize kBatchCapacity-row
-///    chunks per shard, predicates and projections are compiled to
-///    positional form and evaluated one dispatch per batch, and scans,
-///    filters and aggregations over a base table fan out across shards
-///    on an attached worker pool.
+///    execution (see exec/batch.h). Scans lend kBatchCapacity-row
+///    chunks of MVCC versions per shard, predicates and projections are
+///    compiled to positional form and evaluated one dispatch per batch,
+///    and scans, filters and aggregations over a base table fan out
+///    across shards on an attached worker pool.
 ///  * kRow: the serial reference — the canonical row-at-a-time meaning
 ///    of the query, one EvalScalar dispatch per expression node per
 ///    row, column lookup by name, never fanned out. The fuzz oracle's

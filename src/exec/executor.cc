@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -27,6 +28,43 @@ size_t ResultSet::WireSize() const {
   size_t total = 0;
   for (const Row& row : rows) total += catalog::RowWireSize(row);
   return total;
+}
+
+void Executor::Relation::Adopt(std::vector<Row> made) {
+  built = std::move(made);
+  rows.resize(built.size());
+  for (size_t i = 0; i < built.size(); ++i) rows[i] = &built[i];
+}
+
+ResultSet Executor::Materialize(Relation rel) {
+  ResultSet out;
+  out.schema = std::move(rel.schema);
+  const size_t n = rel.rows.size();
+  bool all_built = n == rel.built.size();
+  for (size_t i = 0; all_built && i < n; ++i) {
+    all_built = rel.rows[i] == &rel.built[i];
+  }
+  if (all_built) {
+    out.rows = std::move(rel.built);
+    return out;
+  }
+  // Each built row is referenced at most once (only Project, Join,
+  // OuterApply and GroupBy build, and pass-through operators never
+  // duplicate a reference), so a built row can be moved out.
+  const std::less<const Row*> before;
+  const Row* lo = rel.built.data();
+  const Row* hi = lo + rel.built.size();
+  out.rows.reserve(n);
+  for (const Row* row : rel.rows) {
+    if (row == nullptr) {
+      out.rows.emplace_back();
+    } else if (!before(row, lo) && before(row, hi)) {
+      out.rows.push_back(std::move(const_cast<Row&>(*row)));
+    } else {
+      out.rows.push_back(*row);  // lent: the boundary copy
+    }
+  }
+  return out;
 }
 
 Result<Value> EvalContext::LookupColumn(const std::string& name) const {
@@ -345,7 +383,7 @@ JoinConjuncts ClassifyJoinConjuncts(const ScalarExprPtr& pred,
 /// them, so a row that matches nothing never surfaces its error.
 class SideTermLanes {
  public:
-  SideTermLanes(const CompiledExpr& expr, const std::vector<Row>& rows)
+  SideTermLanes(const CompiledExpr& expr, const std::vector<const Row*>& rows)
       : tags_(rows.size(), kOther) {
     Vec v;
     for (size_t off = 0; off < rows.size(); off += kBatchCapacity) {
@@ -530,7 +568,8 @@ bool KeysEqual(const JoinKeys& a, size_t ra, const JoinKeys& b, size_t rb) {
 /// `row_eval(row, expr)`, the row engine's evaluator.
 template <typename RowEval>
 JoinKeys ExtractJoinKeys(const std::vector<ScalarExprPtr>& keys,
-                         const Schema& schema, const std::vector<Row>& rows,
+                         const Schema& schema,
+                         const std::vector<const Row*>& rows,
                          const CompiledExpr::ParamLookup& params,
                          RowEval row_eval) {
   JoinKeys out;
@@ -553,9 +592,9 @@ JoinKeys ExtractJoinKeys(const std::vector<ScalarExprPtr>& keys,
   }
   std::vector<Value> row_keys(keys.size());
   if (!batch) {
-    for (const Row& row : rows) {
+    for (const Row* row : rows) {
       for (size_t k = 0; k < keys.size(); ++k) {
-        Result<Value> v = row_eval(row, keys[k]);
+        Result<Value> v = row_eval(*row, keys[k]);
         if (!v.ok()) {
           out.err = v.status();
           return out;
@@ -575,7 +614,7 @@ JoinKeys ExtractJoinKeys(const std::vector<ScalarExprPtr>& keys,
     for (size_t i = 0; i < cnt; ++i) {
       for (size_t k = 0; k < keys.size(); ++k) {
         if (cols[k] != kNoColumn) {
-          row_keys[k] = rows[off + i][cols[k]];
+          row_keys[k] = (*rows[off + i])[cols[k]];
           continue;
         }
         // Keys evaluate left to right per row: the first failing key of
@@ -849,7 +888,8 @@ Result<ResultSet> Executor::Execute(const RaNodePtr& node,
   rows_processed_ = 0;
   prof_cur_ = nullptr;
   EvalContext ctx(&params);
-  return Exec(*node, &ctx);
+  EQSQL_ASSIGN_OR_RETURN(Relation rel, Exec(*node, &ctx));
+  return Materialize(std::move(rel));
 }
 
 Result<Value> Executor::Eval(const ScalarExprPtr& expr, EvalContext* ctx) {
@@ -933,7 +973,7 @@ Result<Value> Executor::EvalScalar(const ScalarExprPtr& expr,
     }
     case ScalarOp::kExists:
     case ScalarOp::kNotExists: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet sub, Exec(*expr->subquery(), ctx));
+      EQSQL_ASSIGN_OR_RETURN(Relation sub, Exec(*expr->subquery(), ctx));
       bool exists = !sub.rows.empty();
       return Value::Bool(expr->op() == ScalarOp::kExists ? exists : !exists);
     }
@@ -950,8 +990,8 @@ Result<Value> Executor::EvalOnRow(const ScalarExprPtr& expr,
   return v;
 }
 
-Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx,
-                                 size_t keep) {
+Result<Executor::Relation> Executor::Exec(const RaNode& node,
+                                          EvalContext* ctx, size_t keep) {
   if (profile_ == nullptr) return ExecNode(node, ctx, keep);
   // Look up (or create) this plan node's profile entry under the
   // current operator; correlated subqueries and OuterApply re-enter the
@@ -963,7 +1003,7 @@ Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx,
       profile_->ChildFor(parent, &node, ra::RaOpToString(node.op()));
   prof_cur_ = me;
   const int64_t t0 = NowNs();
-  Result<ResultSet> out = ExecNode(node, ctx, keep);
+  Result<Relation> out = ExecNode(node, ctx, keep);
   me->wall_ns += NowNs() - t0;
   me->execs += 1;
   if (out.ok()) me->rows_out += static_cast<int64_t>(out->rows.size());
@@ -971,18 +1011,22 @@ Result<ResultSet> Executor::Exec(const RaNode& node, EvalContext* ctx,
   return out;
 }
 
-Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx,
-                                     size_t keep) {
+Result<Executor::Relation> Executor::ExecNode(const RaNode& node,
+                                              EvalContext* ctx, size_t keep) {
   switch (node.op()) {
     case RaOp::kScan: {
       EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
                              ResolveTable(node.table_name()));
       if (mode_ == ExecMode::kVector) return ExecShardScan(node, *table);
-      ResultSet out;
+      Relation out;
       EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-      out.rows = table->rows(ReadSnapshot());
+      out.Adopt(table->rows(ReadSnapshot()));
       rows_processed_ += out.rows.size();
-      if (scan_rows_ != nullptr) RecordScan(out.rows.size(), out.WireSize());
+      size_t bytes = 0;
+      if (scan_rows_ != nullptr) {
+        for (const Row& row : out.built) bytes += catalog::RowWireSize(row);
+      }
+      RecordScan(out.rows.size(), bytes);
       return out;
     }
     case RaOp::kSelect: {
@@ -996,7 +1040,7 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx,
         bool might_index =
             table.ok() && IndexLookupMightApply(node, *node.child(0), **table);
         if (might_index) {
-          Result<ResultSet> fast = TryIndexLookup(node, ctx);
+          Result<Relation> fast = TryIndexLookup(node, ctx);
           if (fast.ok()) return fast;
         }
         // Secondary-index scan: equality bindings on a ready index's
@@ -1004,7 +1048,7 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx,
         // revalidation. kNotFound means inapplicable; any other error
         // is a real execution failure.
         if (table.ok() && (*table)->index_count() > 0) {
-          Result<ResultSet> idx = TrySecondaryIndexScan(node, ctx);
+          Result<Relation> idx = TrySecondaryIndexScan(node, ctx);
           if (idx.ok() || idx.status().code() != StatusCode::kNotFound) {
             return idx;
           }
@@ -1031,7 +1075,7 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx,
           }
         }
       }
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
+      EQSQL_ASSIGN_OR_RETURN(Relation in, Exec(*node.child(0), ctx));
       if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
         std::unique_ptr<CompiledExpr> pred = CompiledExpr::Compile(
             node.predicate(), in.schema,
@@ -1039,28 +1083,28 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx,
         if (pred != nullptr) return FilterVector(std::move(in), *pred);
         RecordVectorFallback();
       }
-      ResultSet out;
-      out.schema = in.schema;
-      for (Row& row : in.rows) {
-        ctx->PushFrame(&in.schema, &row);
+      size_t kept = 0;
+      for (const Row* row : in.rows) {
+        ctx->PushFrame(&in.schema, row);
         Result<Value> pred = EvalScalar(node.predicate(), ctx);
         ctx->PopFrame();
         if (!pred.ok()) return pred.status();
-        if (IsTruthy(*pred)) out.rows.push_back(std::move(row));
+        if (IsTruthy(*pred)) in.rows[kept++] = row;
       }
-      rows_processed_ += out.rows.size();
-      return out;
+      in.rows.resize(kept);
+      rows_processed_ += kept;
+      return in;
     }
     case RaOp::kProject: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx, keep));
+      EQSQL_ASSIGN_OR_RETURN(Relation in, Exec(*node.child(0), ctx, keep));
       const size_t rows = in.rows.size();
       if (keep >= rows) return ExecProject(node, std::move(in), ctx);
       // Top-N: project only the prefix the Limit reads; the padding rows
       // keep the row count (and its charges) of the full projection.
       in.rows.resize(keep);
-      EQSQL_ASSIGN_OR_RETURN(ResultSet out,
+      EQSQL_ASSIGN_OR_RETURN(Relation out,
                              ExecProject(node, std::move(in), ctx));
-      out.rows.resize(rows);
+      out.rows.resize(rows, nullptr);
       rows_processed_ += rows - keep;
       return out;
     }
@@ -1075,18 +1119,26 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx,
     case RaOp::kSort:
       return ExecSort(node, ctx, keep);
     case RaOp::kDedup: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
-      ResultSet out;
-      out.schema = in.schema;
-      std::unordered_set<std::vector<Value>, RowVecHash, RowVecEq> seen;
-      for (Row& row : in.rows) {
-        if (seen.insert(row).second) out.rows.push_back(std::move(row));
+      EQSQL_ASSIGN_OR_RETURN(Relation in, Exec(*node.child(0), ctx));
+      struct DerefHash {
+        size_t operator()(const Row* row) const { return RowVecHash()(*row); }
+      };
+      struct DerefEq {
+        bool operator()(const Row* a, const Row* b) const {
+          return RowVecEq()(*a, *b);
+        }
+      };
+      std::unordered_set<const Row*, DerefHash, DerefEq> seen;
+      size_t kept = 0;
+      for (const Row* row : in.rows) {
+        if (seen.insert(row).second) in.rows[kept++] = row;
       }
-      rows_processed_ += out.rows.size();
-      return out;
+      in.rows.resize(kept);
+      rows_processed_ += kept;
+      return in;
     }
     case RaOp::kLimit: {
-      EQSQL_ASSIGN_OR_RETURN(ResultSet in,
+      EQSQL_ASSIGN_OR_RETURN(Relation in,
                              Exec(*node.child(0), ctx, TopNKeep(node)));
       if (node.limit() >= 0 &&
           in.rows.size() > static_cast<size_t>(node.limit())) {
@@ -1099,8 +1151,9 @@ Result<ResultSet> Executor::ExecNode(const RaNode& node, EvalContext* ctx,
   return Status::Internal("Exec: unknown operator");
 }
 
-Result<ResultSet> Executor::ExecProject(const RaNode& node, ResultSet in,
-                                        EvalContext* ctx) {
+Result<Executor::Relation> Executor::ExecProject(const RaNode& node,
+                                                 Relation in,
+                                                 EvalContext* ctx) {
   if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
     std::vector<std::unique_ptr<CompiledExpr>> items;
     items.reserve(node.project_items().size());
@@ -1117,11 +1170,12 @@ Result<ResultSet> Executor::ExecProject(const RaNode& node, ResultSet in,
     if (compiled) return ProjectVector(node, std::move(in), items);
     RecordVectorFallback();
   }
-  ResultSet out;
+  Relation out;
   EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  out.rows.reserve(in.rows.size());
-  for (const Row& row : in.rows) {
-    ctx->PushFrame(&in.schema, &row);
+  std::vector<Row> made;
+  made.reserve(in.rows.size());
+  for (const Row* row : in.rows) {
+    ctx->PushFrame(&in.schema, row);
     Row projected;
     projected.reserve(node.project_items().size());
     Status status = Status::OK();
@@ -1135,8 +1189,9 @@ Result<ResultSet> Executor::ExecProject(const RaNode& node, ResultSet in,
     }
     ctx->PopFrame();
     EQSQL_RETURN_IF_ERROR(status);
-    out.rows.push_back(std::move(projected));
+    made.push_back(std::move(projected));
   }
+  out.Adopt(std::move(made));
   rows_processed_ += out.rows.size();
   return out;
 }
@@ -1205,9 +1260,9 @@ size_t Executor::TopNKeep(const RaNode& limit) const {
   return static_cast<size_t>(limit.limit());
 }
 
-Result<ResultSet> Executor::ExecSort(const RaNode& node, EvalContext* ctx,
-                                     size_t keep) {
-  EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
+Result<Executor::Relation> Executor::ExecSort(const RaNode& node,
+                                              EvalContext* ctx, size_t keep) {
+  EQSQL_ASSIGN_OR_RETURN(Relation in, Exec(*node.child(0), ctx));
   const auto& sort_keys = node.sort_keys();
   const size_t n = in.rows.size();
   std::vector<SortColumn> cols(sort_keys.size());
@@ -1238,8 +1293,8 @@ Result<ResultSet> Executor::ExecSort(const RaNode& node, EvalContext* ctx,
       }
     }
   } else {
-    for (const Row& row : in.rows) {
-      ctx->PushFrame(&in.schema, &row);
+    for (const Row* row : in.rows) {
+      ctx->PushFrame(&in.schema, row);
       Status status = Status::OK();
       for (size_t k = 0; k < sort_keys.size() && status.ok(); ++k) {
         Result<Value> v = EvalScalar(sort_keys[k].expr, ctx);
@@ -1272,18 +1327,16 @@ Result<ResultSet> Executor::ExecSort(const RaNode& node, EvalContext* ctx,
   } else {
     std::sort(order.begin(), order.end(), before);
   }
-  ResultSet out;
-  out.schema = std::move(in.schema);
-  out.rows.resize(n);
-  for (size_t i = 0; i < sorted; ++i) {
-    out.rows[i] = std::move(in.rows[order[i]]);
-  }
+  // Rows past the kept prefix become nullptr padding.
+  std::vector<const Row*> rows(n, nullptr);
+  for (size_t i = 0; i < sorted; ++i) rows[i] = in.rows[order[i]];
+  in.rows = std::move(rows);
   rows_processed_ += n;
-  return out;
+  return in;
 }
 
-Result<ResultSet> Executor::TryIndexLookup(const RaNode& node,
-                                           EvalContext* ctx) {
+Result<Executor::Relation> Executor::TryIndexLookup(const RaNode& node,
+                                                    EvalContext* ctx) {
   const RaNode& scan = *node.child(0);
   EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
                          ResolveTable(scan.table_name()));
@@ -1332,28 +1385,27 @@ Result<ResultSet> Executor::TryIndexLookup(const RaNode& node,
   if (key_expr == nullptr) return Status::NotFound("no key equality");
 
   EQSQL_ASSIGN_OR_RETURN(Value key, EvalScalar(key_expr, ctx));
-  ResultSet out;
+  Relation out;
   EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(scan));
-  std::optional<Row> hit = table->GetByKey(key, ReadSnapshot());
-  if (hit.has_value()) {
-    const Row& row = *hit;
+  const Row* hit = table->LendByKey(key, ReadSnapshot());
+  if (hit != nullptr) {
     bool pass = true;
     if (!residual.empty()) {
-      ctx->PushFrame(&out.schema, &row);
+      ctx->PushFrame(&out.schema, hit);
       Result<Value> v = EvalScalar(ScalarExpr::MakeAnd(residual), ctx);
       ctx->PopFrame();
       if (!v.ok()) return v.status();
       pass = IsTruthy(*v);
     }
-    if (pass) out.rows.push_back(row);
+    if (pass) out.rows.push_back(hit);
   }
   rows_processed_ += 1;  // index probe, not a scan
   if (prof_cur_ != nullptr) prof_cur_->label = "KeyLookup";
   return out;
 }
 
-Result<ResultSet> Executor::TrySecondaryIndexScan(const RaNode& node,
-                                                  EvalContext* ctx) {
+Result<Executor::Relation> Executor::TrySecondaryIndexScan(
+    const RaNode& node, EvalContext* ctx) {
   const RaNode& scan = *node.child(0);
   EQSQL_ASSIGN_OR_RETURN(const storage::Table* table,
                          ResolveTable(scan.table_name()));
@@ -1451,7 +1503,7 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const RaNode& node,
     index_rows_->Add(static_cast<int64_t>(candidates.size()));
   }
 
-  ResultSet out;
+  Relation out;
   EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(scan));
   ScalarExprPtr residual_pred;
   if (!residual.empty()) residual_pred = ScalarExpr::MakeAnd(residual);
@@ -1466,28 +1518,26 @@ Result<ResultSet> Executor::TrySecondaryIndexScan(const RaNode& node,
       key_match = key_match && (*visible)[key_cols[i]] == key[i];
     }
     if (!key_match) continue;
-    Row row = *visible;
     if (residual_pred != nullptr) {
-      ctx->PushFrame(&out.schema, &row);
+      ctx->PushFrame(&out.schema, visible);
       Result<Value> v = EvalScalar(residual_pred, ctx);
       ctx->PopFrame();
       if (!v.ok()) return v.status();
       if (!IsTruthy(*v)) continue;
     }
-    out.rows.push_back(std::move(row));
+    out.rows.push_back(visible);
   }
   rows_processed_ += stats.rows;
-  if (scan_rows_ != nullptr) RecordScan(stats.rows, stats.bytes);
+  RecordScan(stats.rows, stats.bytes);
   rows_processed_ += out.rows.size();
   if (index_scans_ != nullptr) index_scans_->Increment();
   if (prof_cur_ != nullptr) prof_cur_->label = "IndexScan";
   return out;
 }
 
-Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
-                                                   bool left_outer,
-                                                   const ResultSet& left,
-                                                   EvalContext* ctx) {
+Result<Executor::Relation> Executor::TryIndexNestedLoopJoin(
+    const RaNode& node, bool left_outer, const Relation& left,
+    EvalContext* ctx) {
   const RaNode& right_node = *node.child(1);
   if (right_node.op() != RaOp::kScan) {
     return Status::NotFound("right side is not a base scan");
@@ -1542,10 +1592,11 @@ Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
   // Charge the right side exactly as the scan it replaces would have.
   const storage::TableScanStats stats = table->VisibleStats(snap);
   rows_processed_ += stats.rows;
-  if (scan_rows_ != nullptr) RecordScan(stats.rows, stats.bytes);
+  RecordScan(stats.rows, stats.bytes);
 
-  ResultSet out;
+  Relation out;
   out.schema = left.schema.Concat(right_schema);
+  std::vector<Row> made;
   const CompiledExpr::ParamLookup params = [ctx](int i) {
     return ctx->LookupParameter(i);
   };
@@ -1557,7 +1608,8 @@ Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
   std::vector<JoinTerm> residual = PlanJoinResidual(
       std::move(split.residual), left.schema, right_schema, out.schema, params);
   // Left-only terms run ahead over the left rows; right-only terms run
-  // per candidate, on the version the index hands back.
+  // once per probe over its key-matched candidates, reading the versions
+  // the index hands back in place.
   for (JoinTerm& t : residual) {
     if (t.side == JoinTerm::Side::kLeft) t.lanes.emplace(*t.compiled, left.rows);
   }
@@ -1567,10 +1619,10 @@ Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
   Row null_right(right_schema.size(), Value::Null());
   const std::vector<size_t>& key_cols = index->column_indexes();
   std::vector<Value> key(perm.size());
-  Vec lane;
+  std::vector<const Row*> matches;
   for (size_t l = 0; l < left.rows.size(); ++l) {
     if (l == lkeys.rows) return lkeys.err;
-    const Row& lrow = left.rows[l];
+    const Row& lrow = *left.rows[l];
     bool matched = false;
     if (!lkeys.null_key[l]) {
       for (size_t i = 0; i < perm.size(); ++i) key[i] = lkeys.At(l, perm[i]);
@@ -1582,6 +1634,7 @@ Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
       }
       // Candidates come back in slot-sequence order, which is the same
       // order the hash join's build lists hold right rows in.
+      matches.clear();
       for (const auto& slot : candidates) {
         const Row* visible = slot->VisibleRow(snap);
         if (visible == nullptr) continue;
@@ -1589,42 +1642,47 @@ Result<ResultSet> Executor::TryIndexNestedLoopJoin(const RaNode& node,
         for (size_t i = 0; i < key_cols.size(); ++i) {
           key_match = key_match && (*visible)[key_cols[i]] == key[i];
         }
-        if (!key_match) continue;
-        // Right-only terms read the visible version in place; nothing
-        // is copied unless the pair is emitted or a pair term needs it.
-        auto side_term = [&](size_t k) -> Result<Value> {
-          if (residual[k].lanes.has_value()) return residual[k].lanes->At(l);
-          residual[k].compiled->Eval(visible, 1, &lane);
-          if (lane.ErrAt(0)) return lane.ErrStatus(0);
-          return lane.At(0);
+        if (key_match) matches.push_back(visible);
+      }
+      for (JoinTerm& t : residual) {
+        if (t.side == JoinTerm::Side::kRight) {
+          t.lanes.emplace(*t.compiled, matches);
+        }
+      }
+      for (size_t m = 0; m < matches.size(); ++m) {
+        auto side_term = [&](size_t k) {
+          const JoinTerm& t = residual[k];
+          return t.lanes->At(t.side == JoinTerm::Side::kLeft ? l : m);
         };
         EQSQL_ASSIGN_OR_RETURN(
-            bool emitted, EmitIfResidualPasses(residual, lrow, *visible,
-                                               side_term, pair_eval,
-                                               &out.rows));
+            bool emitted, EmitIfResidualPasses(residual, lrow, *matches[m],
+                                               side_term, pair_eval, &made));
         matched = matched || emitted;
       }
     }
-    if (left_outer && !matched) out.rows.push_back(PadRight(lrow, null_right));
+    if (left_outer && !matched) made.push_back(PadRight(lrow, null_right));
   }
+  out.Adopt(std::move(made));
   rows_processed_ += out.rows.size();
   if (prof_cur_ != nullptr) prof_cur_->label = "IndexNestedLoopJoin";
   return out;
 }
 
-Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
-                                     EvalContext* ctx) {
-  EQSQL_ASSIGN_OR_RETURN(ResultSet left, Exec(*node.child(0), ctx));
+Result<Executor::Relation> Executor::ExecJoin(const RaNode& node,
+                                              bool left_outer,
+                                              EvalContext* ctx) {
+  EQSQL_ASSIGN_OR_RETURN(Relation left, Exec(*node.child(0), ctx));
   {
-    // Index nested-loop attempt, before materializing the right side.
-    Result<ResultSet> inlj = TryIndexNestedLoopJoin(node, left_outer, left, ctx);
+    // Index nested-loop attempt, before executing the right side.
+    Result<Relation> inlj = TryIndexNestedLoopJoin(node, left_outer, left, ctx);
     if (inlj.ok() || inlj.status().code() != StatusCode::kNotFound) {
       return inlj;
     }
   }
-  EQSQL_ASSIGN_OR_RETURN(ResultSet right, Exec(*node.child(1), ctx));
-  ResultSet out;
+  EQSQL_ASSIGN_OR_RETURN(Relation right, Exec(*node.child(1), ctx));
+  Relation out;
   out.schema = left.schema.Concat(right.schema);
+  std::vector<Row> made;
   JoinConjuncts split =
       ClassifyJoinConjuncts(node.predicate(), left.schema, right.schema);
   Row null_right(right.schema.size(), Value::Null());
@@ -1632,22 +1690,21 @@ Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
   if (split.left_keys.empty()) {
     // Nested loop join.
     ScalarExprPtr pred = node.predicate();
-    for (const Row& lrow : left.rows) {
+    for (const Row* lrow : left.rows) {
       bool matched = false;
-      for (const Row& rrow : right.rows) {
-        Row joined = PadRight(lrow, rrow);
+      for (const Row* rrow : right.rows) {
+        Row joined = PadRight(*lrow, *rrow);
         if (pred != nullptr) {
           EQSQL_ASSIGN_OR_RETURN(Value v,
                                  EvalOnRow(pred, out.schema, joined, ctx));
           if (!IsTruthy(v)) continue;
         }
-        out.rows.push_back(std::move(joined));
+        made.push_back(std::move(joined));
         matched = true;
       }
-      if (left_outer && !matched) {
-        out.rows.push_back(PadRight(lrow, null_right));
-      }
+      if (left_outer && !matched) made.push_back(PadRight(*lrow, null_right));
     }
+    out.Adopt(std::move(made));
     rows_processed_ += out.rows.size();
     return out;
   }
@@ -1684,7 +1741,7 @@ Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
   auto pair_eval = side_eval(out.schema);
   for (size_t l = 0; l < left.rows.size(); ++l) {
     if (l == lkeys.rows) return lkeys.err;
-    const Row& lrow = left.rows[l];
+    const Row& lrow = *left.rows[l];
     bool matched = false;
     if (!lkeys.null_key[l]) {
       auto [begin, end] = build.Find(lkeys, l);
@@ -1692,7 +1749,7 @@ Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
         // A key's right rows are scattered through the right input:
         // fetch the row a few matches ahead while this one is copied.
         if (end - r > kPrefetchAhead) {
-          const Row& ahead = right.rows[r[kPrefetchAhead]];
+          const Row& ahead = *right.rows[r[kPrefetchAhead]];
           const char* p = reinterpret_cast<const char*>(ahead.data());
           const size_t bytes = ahead.size() * sizeof(Value);
           for (size_t off = 0; off < bytes; off += 64) {
@@ -1705,46 +1762,80 @@ Result<ResultSet> Executor::ExecJoin(const RaNode& node, bool left_outer,
         };
         EQSQL_ASSIGN_OR_RETURN(
             bool emitted,
-            EmitIfResidualPasses(residual, lrow, right.rows[*r], side_term,
-                                 pair_eval, &out.rows));
+            EmitIfResidualPasses(residual, lrow, *right.rows[*r], side_term,
+                                 pair_eval, &made));
         matched = matched || emitted;
       }
     }
-    if (left_outer && !matched) out.rows.push_back(PadRight(lrow, null_right));
+    if (left_outer && !matched) made.push_back(PadRight(lrow, null_right));
   }
+  out.Adopt(std::move(made));
   rows_processed_ += out.rows.size();
   return out;
 }
 
-Result<ResultSet> Executor::ExecOuterApply(const RaNode& node,
-                                           EvalContext* ctx) {
-  EQSQL_ASSIGN_OR_RETURN(ResultSet left, Exec(*node.child(0), ctx));
+Result<Executor::Relation> Executor::ExecOuterApply(const RaNode& node,
+                                                    EvalContext* ctx) {
+  EQSQL_ASSIGN_OR_RETURN(Relation left, Exec(*node.child(0), ctx));
   EQSQL_ASSIGN_OR_RETURN(Schema right_schema, OutputSchema(*node.child(1)));
-  ResultSet out;
+  Relation out;
   out.schema = left.schema.Concat(right_schema);
+  std::vector<Row> made;
   Row null_right(right_schema.size(), Value::Null());
-  for (const Row& lrow : left.rows) {
-    ctx->PushFrame(&left.schema, &lrow);
-    Result<ResultSet> inner = Exec(*node.child(1), ctx);
+  for (const Row* lrow : left.rows) {
+    ctx->PushFrame(&left.schema, lrow);
+    Result<Relation> inner = Exec(*node.child(1), ctx);
     ctx->PopFrame();
     if (!inner.ok()) return inner.status();
     if (inner->rows.empty()) {
-      Row combined = lrow;
-      combined.insert(combined.end(), null_right.begin(), null_right.end());
-      out.rows.push_back(std::move(combined));
+      made.push_back(PadRight(*lrow, null_right));
     } else {
-      for (Row& rrow : inner->rows) {
-        Row combined = lrow;
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
-        out.rows.push_back(std::move(combined));
+      for (const Row* rrow : inner->rows) {
+        made.push_back(PadRight(*lrow, *rrow));
       }
     }
   }
+  out.Adopt(std::move(made));
   rows_processed_ += out.rows.size();
   return out;
 }
 
-Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
+namespace {
+
+/// Boxed group keys in first-insert order. Lookup probes with the
+/// caller's scratch key and copies it only for a new group, so a row
+/// whose group already exists allocates nothing. A zero-width key
+/// (scalar aggregation) is the one group and never hashes.
+class GroupKeys {
+ public:
+  /// The group of `key`, appended after the existing groups when new;
+  /// `*inserted` says which.
+  size_t Find(const std::vector<Value>& key, bool* inserted) {
+    if (key.empty()) {
+      *inserted = keys_.empty();
+      if (*inserted) keys_.emplace_back();
+      return 0;
+    }
+    auto it = index_.find(key);
+    *inserted = it == index_.end();
+    if (!*inserted) return it->second;
+    index_.emplace(key, keys_.size());
+    keys_.push_back(key);
+    return keys_.size() - 1;
+  }
+
+  size_t size() const { return keys_.size(); }
+  std::vector<Value>& key(size_t g) { return keys_[g]; }
+
+ private:
+  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index_;
+  std::vector<std::vector<Value>> keys_;
+};
+
+}  // namespace
+
+Result<Executor::Relation> Executor::ExecGroupBy(const RaNode& node,
+                                                 EvalContext* ctx) {
   // Fused aggregation over a (possibly filtered) base scan streams the
   // shard cursors through the compiled plan. It folds shards in any
   // order and, under a pool, merges per-shard partial states, so it
@@ -1790,7 +1881,7 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
       }
     }
   }
-  EQSQL_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.child(0), ctx));
+  EQSQL_ASSIGN_OR_RETURN(Relation in, Exec(*node.child(0), ctx));
   if (mode_ == ExecMode::kVector && ctx->depth() == 0) {
     // The serial vector fold needs no exactness gate: lanes fold in the
     // serial row order and no partial states merge, so even double
@@ -1801,21 +1892,20 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
     }
     RecordVectorFallback();
   }
-  ResultSet out;
+  Relation out;
   EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
 
   const auto& keys = node.group_keys();
   const auto& aggs = node.aggregates();
 
   // Group index: key tuple -> position in `groups` (first-seen order).
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> group_keys;
+  GroupKeys groups;
   std::vector<std::vector<AggState>> group_states;
+  std::vector<Value> key;  // scratch, reused for every row
 
-  for (const Row& row : in.rows) {
-    ctx->PushFrame(&in.schema, &row);
-    std::vector<Value> key;
-    key.reserve(keys.size());
+  for (const Row* row : in.rows) {
+    ctx->PushFrame(&in.schema, row);
+    key.clear();
     Status status = Status::OK();
     for (const ScalarExprPtr& k : keys) {
       Result<Value> v = EvalScalar(k, ctx);
@@ -1826,12 +1916,10 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
       key.push_back(std::move(*v));
     }
     if (status.ok()) {
-      auto [it, inserted] = index.emplace(key, group_keys.size());
-      if (inserted) {
-        group_keys.push_back(key);
-        group_states.emplace_back(aggs.size());
-      }
-      std::vector<AggState>& states = group_states[it->second];
+      bool inserted = false;
+      const size_t g = groups.Find(key, &inserted);
+      if (inserted) group_states.emplace_back(aggs.size());
+      std::vector<AggState>& states = group_states[g];
       for (size_t a = 0; a < aggs.size(); ++a) {
         if (aggs[a].func == ra::AggFunc::kCountStar) {
           ++states[a].count;
@@ -1850,18 +1938,22 @@ Result<ResultSet> Executor::ExecGroupBy(const RaNode& node, EvalContext* ctx) {
   }
 
   // Scalar aggregation (no keys) over empty input produces one row.
-  if (keys.empty() && group_keys.empty()) {
-    group_keys.emplace_back();
+  if (keys.empty() && groups.size() == 0) {
+    bool inserted = false;
+    groups.Find({}, &inserted);
     group_states.emplace_back(aggs.size());
   }
 
-  for (size_t g = 0; g < group_keys.size(); ++g) {
-    Row row = group_keys[g];
+  std::vector<Row> made;
+  made.reserve(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    Row row = std::move(groups.key(g));
     for (size_t a = 0; a < aggs.size(); ++a) {
       row.push_back(group_states[g][a].Finalize(aggs[a].func));
     }
-    out.rows.push_back(std::move(row));
+    made.push_back(std::move(row));
   }
+  out.Adopt(std::move(made));
   rows_processed_ += out.rows.size();
   return out;
 }
@@ -1886,14 +1978,295 @@ size_t NextBatch(storage::ShardScanCursor* cursor, Batch* batch) {
                       &batch->wire_bytes);
 }
 
+/// The failure serial execution would surface: the row engine
+/// evaluates the seq-ordered scan and aborts at the first failing row,
+/// so among failures the lowest seq wins.
+struct SeqFailure {
+  Status status = Status::OK();
+  size_t seq = 0;
+
+  bool ok() const { return status.ok(); }
+  /// True if a failure at `at` would precede every failure seen so far.
+  bool Earlier(size_t at) const { return status.ok() || at < seq; }
+  void Offer(Status st, size_t at) {
+    if (Earlier(at)) {
+      status = std::move(st);
+      seq = at;
+    }
+  }
+  void Offer(const SeqFailure& other) {
+    if (!other.ok()) Offer(other.status, other.seq);
+  }
+};
+
+using CompiledExprs = std::vector<std::unique_ptr<CompiledExpr>>;
+
+/// One group-by accumulator: groups keyed by value with the minimum seq
+/// folded into each (the serial first-seen order). While at most one key
+/// is grouped on and every lane so far was typed, groups live in a
+/// primitive int64 table (the one scalar group, unhashed, when there is
+/// no key); the first batch that is not typed demotes them to boxed
+/// keys for good. Predicate and fold failures are kept apart because
+/// the serial engine filters the whole scan before folding a row, so a
+/// predicate error anywhere outranks any fold error.
+struct GroupPartial {
+  bool ready = false;
+  size_t width = 0;  // group keys
+  size_t aggs = 0;   // aggregates
+  bool boxed = false;
+  std::unordered_map<int64_t, size_t> fast_index;
+  std::vector<int64_t> fast_keys;
+  std::vector<std::vector<FastIntAgg>> fast_states;
+  std::vector<size_t> fast_seq;
+  GroupKeys keys;
+  std::vector<std::vector<AggState>> states;
+  std::vector<size_t> seq;
+  size_t scanned = 0;
+  size_t bytes = 0;
+  size_t matched = 0;
+  SeqFailure pred_fail;
+  SeqFailure fold_fail;
+  // Batch scratch, reused across the batches this accumulator folds.
+  Batch batch;
+  Vec pv;
+  std::vector<Vec> kv;
+  std::vector<Vec> av;
+  std::vector<Value> key;
+
+  /// Sizes the accumulator for its plan; later calls (the next shard
+  /// folded inline into the same accumulator) change nothing.
+  void Init(size_t key_count, size_t agg_count) {
+    if (ready) return;
+    ready = true;
+    width = key_count;
+    aggs = agg_count;
+    boxed = width > 1;
+    kv.resize(width);
+    av.resize(aggs);
+  }
+
+  std::vector<FastIntAgg>& FastGroup(int64_t k, size_t at) {
+    size_t g = 0;
+    bool inserted = fast_keys.empty();
+    if (width != 0) {
+      auto [it, fresh] = fast_index.try_emplace(k, fast_keys.size());
+      g = it->second;
+      inserted = fresh;
+    }
+    if (inserted) {
+      fast_keys.push_back(k);
+      fast_states.emplace_back(aggs);
+      fast_seq.push_back(at);
+    } else if (at < fast_seq[g]) {
+      fast_seq[g] = at;
+    }
+    return fast_states[g];
+  }
+
+  /// The boxed group of key `k`, created when new; folds `at` into the
+  /// group's minimum seq.
+  size_t GroupOf(const std::vector<Value>& k, size_t at) {
+    bool inserted = false;
+    const size_t g = keys.Find(k, &inserted);
+    if (inserted) {
+      states.emplace_back(aggs);
+      seq.push_back(at);
+    } else {
+      NoteSeq(g, at);
+    }
+    return g;
+  }
+  std::vector<AggState>& Group(const std::vector<Value>& k, size_t at) {
+    return states[GroupOf(k, at)];
+  }
+  void NoteSeq(size_t g, size_t at) {
+    if (at < seq[g]) seq[g] = at;
+  }
+
+  /// True if lanes `a` and `b` of every key vector hold equal keys
+  /// (Value equality, the relation the group table hashes under).
+  bool SameKey(size_t a, size_t b) const {
+    for (const Vec& v : kv) {
+      switch (v.tag) {
+        case Vec::Tag::kInt:
+          if (v.ints[a] != v.ints[b]) return false;
+          break;
+        case Vec::Tag::kBool:
+          if (v.bools[a] != v.bools[b]) return false;
+          break;
+        case Vec::Tag::kBoxed:
+          if (!(v.boxed[a] == v.boxed[b])) return false;
+          break;
+      }
+    }
+    return true;
+  }
+
+  /// Moves the typed groups into the boxed table; their seqs survive,
+  /// so first-seen group order is unchanged.
+  void Demote() {
+    for (size_t g = 0; g < fast_keys.size(); ++g) {
+      key.clear();
+      if (width != 0) key.push_back(Value::Int(fast_keys[g]));
+      std::vector<AggState>& st = Group(key, fast_seq[g]);
+      for (size_t a = 0; a < aggs; ++a) st[a] = fast_states[g][a].ToAggState();
+    }
+    fast_index.clear();
+    fast_keys.clear();
+    fast_states.clear();
+    fast_seq.clear();
+    boxed = true;
+  }
+
+  /// Folds one batch: rows[i] carries insertion seq seqs[i]. `pred` may
+  /// be null; a null aggregate is COUNT(*), which reads no input.
+  void Fold(const CompiledExpr* pred, const CompiledExprs& key_exprs,
+            const CompiledExprs& agg_exprs, const Row* const* rows,
+            const size_t* seqs, size_t n) {
+    if (pred != nullptr) pred->Eval(rows, n, &pv);
+    for (size_t k = 0; k < width; ++k) key_exprs[k]->Eval(rows, n, &kv[k]);
+    for (size_t a = 0; a < aggs; ++a) {
+      if (agg_exprs[a] != nullptr) agg_exprs[a]->Eval(rows, n, &av[a]);
+    }
+    if (!boxed) {
+      // Typed fast path: integer key and aggregate inputs fold through
+      // primitive partials. A typed Vec holds no NULL and no error
+      // lanes by construction, so this cannot diverge from the boxed
+      // fold.
+      bool typed = (width == 0 || kv[0].tag == Vec::Tag::kInt) &&
+                   (pred == nullptr || !pv.has_err);
+      for (size_t a = 0; typed && a < aggs; ++a) {
+        typed = agg_exprs[a] == nullptr || av[a].tag == Vec::Tag::kInt;
+      }
+      if (typed) {
+        const int64_t* lanes = width == 0 ? nullptr : kv[0].ints.data();
+        const bool pred_bool = pred != nullptr && pv.tag == Vec::Tag::kBool;
+        for (size_t i = 0; i < n; ++i) {
+          if (pred != nullptr) {
+            const bool truthy =
+                pred_bool ? pv.bools[i] != 0 : IsTruthy(pv.At(i));
+            if (!truthy) continue;
+            ++matched;
+          }
+          std::vector<FastIntAgg>& st =
+              FastGroup(lanes == nullptr ? 0 : lanes[i], seqs[i]);
+          for (size_t a = 0; a < aggs; ++a) {
+            if (agg_exprs[a] == nullptr) {
+              ++st[a].count;  // COUNT(*)
+              continue;
+            }
+            st[a].Update(av[a].ints[i]);
+          }
+        }
+        return;
+      }
+      Demote();
+    }
+    constexpr size_t kNoLane = static_cast<size_t>(-1);
+    size_t prev_lane = kNoLane;  // last lane folded in this batch
+    size_t prev_group = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t at = seqs[i];
+      if (pred != nullptr) {
+        if (pv.ErrAt(i)) {
+          if (pred_fail.Earlier(at)) pred_fail.Offer(pv.ErrStatus(i), at);
+          continue;
+        }
+        if (!IsTruthy(pv.At(i))) continue;
+        ++matched;
+      }
+      if (!fold_fail.Earlier(at)) continue;
+      // Keys before aggregates, left to right: the row fold's error
+      // order within a row.
+      bool lane_failed = false;
+      for (const Vec& v : kv) {
+        if (v.ErrAt(i)) {
+          fold_fail.Offer(v.ErrStatus(i), at);
+          lane_failed = true;
+          break;
+        }
+      }
+      if (lane_failed) continue;
+      // Runs of equal keys (a join's output per outer row, clustered
+      // input) reuse the previous lane's group without hashing.
+      size_t g;
+      if (prev_lane != kNoLane && SameKey(prev_lane, i)) {
+        g = prev_group;
+        NoteSeq(g, at);
+      } else {
+        key.clear();
+        for (const Vec& v : kv) key.push_back(v.At(i));
+        g = GroupOf(key, at);
+      }
+      prev_lane = i;
+      prev_group = g;
+      std::vector<AggState>& st = states[g];
+      for (size_t a = 0; a < aggs; ++a) {
+        if (agg_exprs[a] == nullptr) {
+          ++st[a].count;  // COUNT(*)
+          continue;
+        }
+        if (av[a].ErrAt(i)) {
+          fold_fail.Offer(av[a].ErrStatus(i), at);
+          break;
+        }
+        st[a].Update(av[a].At(i));
+      }
+    }
+  }
+
+  /// Folds another shard's groups into this one. Exact: the caller's
+  /// hazard gate keeps every state integer, so merge order is moot.
+  void Merge(GroupPartial* other) {
+    if (!boxed && !other->boxed) {
+      for (size_t g = 0; g < other->fast_keys.size(); ++g) {
+        std::vector<FastIntAgg>& st =
+            FastGroup(other->fast_keys[g], other->fast_seq[g]);
+        for (size_t a = 0; a < aggs; ++a) st[a].Merge(other->fast_states[g][a]);
+      }
+      return;
+    }
+    Demote();
+    other->Demote();
+    for (size_t g = 0; g < other->keys.size(); ++g) {
+      std::vector<AggState>& st = Group(other->keys.key(g), other->seq[g]);
+      for (size_t a = 0; a < aggs; ++a) st[a].Merge(other->states[g][a]);
+    }
+  }
+
+  /// The finished groups as output rows (keys, then finalized
+  /// aggregates), in first-seen order. Scalar aggregation (no keys)
+  /// over empty input produces one row.
+  std::vector<Row> Rows(const std::vector<ra::AggregateSpec>& specs) {
+    Demote();
+    if (width == 0 && keys.size() == 0) Group({}, 0);
+    std::vector<size_t> order(keys.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](size_t a, size_t b) { return seq[a] < seq[b]; });
+    std::vector<Row> out;
+    out.reserve(order.size());
+    for (size_t g : order) {
+      Row row = std::move(keys.key(g));
+      for (size_t a = 0; a < aggs; ++a) {
+        row.push_back(states[g][a].Finalize(specs[a].func));
+      }
+      out.push_back(std::move(row));
+    }
+    return out;
+  }
+};
+
 }  // namespace
 
-Result<ResultSet> Executor::FilterVector(ResultSet in,
-                                         const CompiledExpr& pred) {
-  ResultSet out;
-  out.schema = std::move(in.schema);
+Result<Executor::Relation> Executor::FilterVector(Relation in,
+                                                  const CompiledExpr& pred) {
+  // Compacts the references in place: a kept row's slot never lies past
+  // the one being read, and each chunk is evaluated before any of its
+  // slots is overwritten.
   Vec v;
   std::vector<uint32_t> sel;
+  size_t kept = 0;
   for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
     const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
     RecordBatch(cnt);
@@ -1903,24 +2276,25 @@ Result<ResultSet> Executor::FilterVector(ResultSet in,
       // row order, so the first error lane is that row.
       for (size_t i = 0; i < cnt; ++i) {
         if (v.ErrAt(i)) return v.ErrStatus(i);
-        if (IsTruthy(v.At(i))) out.rows.push_back(std::move(in.rows[off + i]));
+        if (IsTruthy(v.At(i))) in.rows[kept++] = in.rows[off + i];
       }
     } else {
       sel.clear();
       AppendTruthySelection(v, &sel);
-      for (uint32_t i : sel) out.rows.push_back(std::move(in.rows[off + i]));
+      for (uint32_t i : sel) in.rows[kept++] = in.rows[off + i];
     }
   }
-  rows_processed_ += out.rows.size();
-  return out;
+  in.rows.resize(kept);
+  rows_processed_ += kept;
+  return in;
 }
 
-Result<ResultSet> Executor::ProjectVector(
-    const RaNode& node, ResultSet in,
-    const std::vector<std::unique_ptr<CompiledExpr>>& items) {
-  ResultSet out;
+Result<Executor::Relation> Executor::ProjectVector(
+    const RaNode& node, Relation in, const CompiledExprs& items) {
+  Relation out;
   EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  out.rows.reserve(in.rows.size());
+  std::vector<Row> made;
+  made.reserve(in.rows.size());
   std::vector<Vec> vs(items.size());
   for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
     const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
@@ -1937,9 +2311,10 @@ Result<ResultSet> Executor::ProjectVector(
         if (v.ErrAt(i)) return v.ErrStatus(i);
         projected.push_back(v.At(i));
       }
-      out.rows.push_back(std::move(projected));
+      made.push_back(std::move(projected));
     }
   }
+  out.Adopt(std::move(made));
   rows_processed_ += out.rows.size();
   return out;
 }
@@ -1967,127 +2342,26 @@ bool Executor::CompileGroupBy(const RaNode& node, const RaNode* select,
   return true;
 }
 
-Result<ResultSet> Executor::GroupByVectorFold(const RaNode& node, ResultSet in,
-                                              const CompiledGroupBy& plan) {
-  ResultSet out;
+Result<Executor::Relation> Executor::GroupByVectorFold(
+    const RaNode& node, Relation in, const CompiledGroupBy& plan) {
+  Relation out;
   EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const auto& aggs = node.aggregates();
-
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> group_keys;
-  std::vector<std::vector<AggState>> group_states;
-
-  // Typed fast path: a single integer group key whose aggregate inputs
-  // are all integer (or COUNT(*), which reads none) folds through an
-  // int64-keyed map with primitive partials — no Value is boxed per
-  // lane. A typed Vec holds no NULL and no error lanes by construction,
-  // so the fast path cannot diverge from the row fold's NULL handling
-  // or error selection, and accumulating isum in lane order reproduces
-  // its (exact, integer) sums bit for bit. The first batch that
-  // evaluates to anything untyped demotes the accumulated groups into
-  // the boxed representation and the general loop takes over for good;
-  // first-seen group order survives the demotion unchanged.
-  std::unordered_map<int64_t, size_t> fast_index;
-  std::vector<int64_t> fast_keys;
-  std::vector<std::vector<FastIntAgg>> fast_states;
-  bool fast_active = plan.keys.size() == 1;
-  auto demote_fast_groups = [&] {
-    fast_active = false;
-    for (size_t g = 0; g < fast_keys.size(); ++g) {
-      std::vector<Value> key{Value::Int(fast_keys[g])};
-      index.emplace(key, group_keys.size());
-      std::vector<AggState> states(aggs.size());
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        states[a] = fast_states[g][a].ToAggState();
-      }
-      group_keys.push_back(std::move(key));
-      group_states.push_back(std::move(states));
-    }
-    fast_index.clear();
-    fast_keys.clear();
-    fast_states.clear();
-  };
-
-  std::vector<Vec> kv(plan.keys.size());
-  std::vector<Vec> av(plan.aggs.size());
+  // One accumulator fed in row order, with the input position as the
+  // seq: the lowest-seq failure is the first failing row, and group
+  // order by minimum seq is first-seen order.
+  GroupPartial p;
+  p.Init(plan.keys.size(), plan.aggs.size());
+  std::vector<size_t> pos;
   for (size_t off = 0; off < in.rows.size(); off += kBatchCapacity) {
     const size_t cnt = std::min(kBatchCapacity, in.rows.size() - off);
     RecordBatch(cnt);
-    for (size_t k = 0; k < plan.keys.size(); ++k) {
-      plan.keys[k]->Eval(in.rows.data() + off, cnt, &kv[k]);
-    }
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      if (plan.aggs[a] != nullptr) {
-        plan.aggs[a]->Eval(in.rows.data() + off, cnt, &av[a]);
-      }
-    }
-    if (fast_active) {
-      bool typed = kv[0].tag == Vec::Tag::kInt;
-      for (size_t a = 0; typed && a < plan.aggs.size(); ++a) {
-        typed = plan.aggs[a] == nullptr || av[a].tag == Vec::Tag::kInt;
-      }
-      if (typed) {
-        const int64_t* lanes = kv[0].ints.data();
-        for (size_t i = 0; i < cnt; ++i) {
-          auto [it, inserted] = fast_index.emplace(lanes[i], fast_keys.size());
-          if (inserted) {
-            fast_keys.push_back(lanes[i]);
-            fast_states.emplace_back(aggs.size());
-          }
-          std::vector<FastIntAgg>& states = fast_states[it->second];
-          for (size_t a = 0; a < aggs.size(); ++a) {
-            if (plan.aggs[a] == nullptr) {
-              ++states[a].count;  // COUNT(*)
-              continue;
-            }
-            states[a].Update(av[a].ints[i]);
-          }
-        }
-        continue;
-      }
-      demote_fast_groups();
-    }
-    // Lanes fold in serial row order, so first-seen group order and
-    // error selection (keys before aggregates, left to right) match
-    // the row fold exactly.
-    for (size_t i = 0; i < cnt; ++i) {
-      std::vector<Value> key;
-      key.reserve(kv.size());
-      for (const Vec& v : kv) {
-        if (v.ErrAt(i)) return v.ErrStatus(i);
-        key.push_back(v.At(i));
-      }
-      auto [it, inserted] = index.emplace(key, group_keys.size());
-      if (inserted) {
-        group_keys.push_back(key);
-        group_states.emplace_back(aggs.size());
-      }
-      std::vector<AggState>& states = group_states[it->second];
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        if (plan.aggs[a] == nullptr) {
-          ++states[a].count;  // COUNT(*)
-          continue;
-        }
-        if (av[a].ErrAt(i)) return av[a].ErrStatus(i);
-        states[a].Update(av[a].At(i));
-      }
-    }
+    pos.resize(cnt);
+    for (size_t i = 0; i < cnt; ++i) pos[i] = off + i;
+    p.Fold(nullptr, plan.keys, plan.aggs, in.rows.data() + off, pos.data(),
+           cnt);
+    if (!p.fold_fail.ok()) return p.fold_fail.status;
   }
-  if (fast_active) demote_fast_groups();
-
-  // Scalar aggregation (no keys) over empty input produces one row.
-  if (plan.keys.empty() && group_keys.empty()) {
-    group_keys.emplace_back();
-    group_states.emplace_back(aggs.size());
-  }
-
-  for (size_t g = 0; g < group_keys.size(); ++g) {
-    Row row = std::move(group_keys[g]);
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      row.push_back(group_states[g][a].Finalize(aggs[a].func));
-    }
-    out.rows.push_back(std::move(row));
-  }
+  out.Adopt(p.Rows(node.aggregates()));
   rows_processed_ += out.rows.size();
   return out;
 }
@@ -2102,143 +2376,69 @@ Result<ResultSet> Executor::GroupByVectorFold(const RaNode& node, ResultSet in,
 
 namespace {
 
-/// (insertion seq, row) pairs gathered from shard cursors.
-using SeqRows = std::vector<std::pair<size_t, Row>>;
+/// (insertion seq, lent row) pairs gathered from shard cursors, one run
+/// per shard: run i starts at rows[starts[i]].
+struct SeqRuns {
+  std::vector<std::pair<size_t, const Row*>> rows;
+  std::vector<size_t> starts;
 
-/// Restores the serial scan's insertion order over the `rows` every
+  /// Opens the run of the next shard folded into this accumulator.
+  void BeginRun() { starts.push_back(rows.size()); }
+};
+
+/// Restores the serial scan's insertion order over the runs every
 /// accumulator gathered. Sequence numbers are sparse under MVCC (DELETE
-/// retires a slot but never renumbers the survivors) and slot order
-/// within a shard need not follow seq under concurrent keyless inserts,
-/// so one sort by seq is the merge.
+/// retires a slot but never renumbers the survivors), so the order is
+/// by seq value. A shard's slots follow seq order except after
+/// concurrent keyless inserts, so a run found out of order is sorted
+/// first; then the runs merge pairwise.
 template <typename Acc>
-std::vector<Row> SeqOrderedRows(std::vector<Acc>* accs) {
-  SeqRows merged;
+std::vector<const Row*> SeqOrderedRows(std::vector<Acc>* accs) {
+  using Pair = std::pair<size_t, const Row*>;
+  std::vector<Pair> merged;
+  std::vector<size_t> bounds;  // run r is [bounds[r], bounds[r + 1])
   if (accs->size() == 1) {
-    merged = std::move(accs->front().rows);
+    merged = std::move(accs->front().runs.rows);
+    bounds = std::move(accs->front().runs.starts);
   } else {
     size_t total = 0;
-    for (const Acc& a : *accs) total += a.rows.size();
+    for (const Acc& a : *accs) total += a.runs.rows.size();
     merged.reserve(total);
-    for (Acc& a : *accs) {
-      for (auto& p : a.rows) merged.push_back(std::move(p));
+    for (const Acc& a : *accs) {
+      for (size_t start : a.runs.starts) {
+        bounds.push_back(merged.size() + start);
+      }
+      merged.insert(merged.end(), a.runs.rows.begin(), a.runs.rows.end());
     }
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<Row> rows;
-  rows.reserve(merged.size());
-  for (auto& p : merged) rows.push_back(std::move(p.second));
+  if (bounds.empty() || bounds.front() != 0) bounds.insert(bounds.begin(), 0);
+  bounds.push_back(merged.size());
+  auto by_seq = [](const Pair& a, const Pair& b) { return a.first < b.first; };
+  for (size_t r = 0; r + 1 < bounds.size(); ++r) {
+    auto begin = merged.begin() + bounds[r];
+    auto end = merged.begin() + bounds[r + 1];
+    if (!std::is_sorted(begin, end, by_seq)) std::sort(begin, end, by_seq);
+  }
+  if (bounds.size() > 2) {
+    std::vector<Pair> scratch(merged.size());
+    while (bounds.size() > 2) {
+      std::vector<size_t> next{0};
+      for (size_t r = 0; r + 1 < bounds.size(); r += 2) {
+        const size_t mid = bounds[r + 1];
+        const size_t end = r + 2 < bounds.size() ? bounds[r + 2] : mid;
+        std::merge(merged.begin() + bounds[r], merged.begin() + mid,
+                   merged.begin() + mid, merged.begin() + end,
+                   scratch.begin() + bounds[r], by_seq);
+        next.push_back(end);
+      }
+      merged.swap(scratch);
+      bounds = std::move(next);
+    }
+  }
+  std::vector<const Row*> rows(merged.size());
+  for (size_t i = 0; i < merged.size(); ++i) rows[i] = merged[i].second;
   return rows;
 }
-
-/// The failure serial execution would surface: the row engine
-/// evaluates the seq-ordered scan and aborts at the first failing row,
-/// so among failures the lowest seq wins.
-struct SeqFailure {
-  Status status = Status::OK();
-  size_t seq = 0;
-
-  bool ok() const { return status.ok(); }
-  /// True if a failure at `at` would precede every failure seen so far.
-  bool Earlier(size_t at) const { return status.ok() || at < seq; }
-  void Offer(Status st, size_t at) {
-    if (Earlier(at)) {
-      status = std::move(st);
-      seq = at;
-    }
-  }
-  void Offer(const SeqFailure& other) {
-    if (!other.ok()) Offer(other.status, other.seq);
-  }
-};
-
-/// One group-by accumulator: groups keyed by value with the minimum seq
-/// folded into each (the serial first-seen order), held in a typed
-/// int64 table until the first batch that is not typed demotes them to
-/// boxed keys for good. Predicate and fold failures are kept apart
-/// because the serial engine filters the whole scan before folding a
-/// row, so a predicate error anywhere outranks any fold error.
-struct GroupPartial {
-  bool boxed = false;
-  std::unordered_map<int64_t, size_t> fast_index;
-  std::vector<int64_t> fast_keys;
-  std::vector<std::vector<FastIntAgg>> fast_states;
-  std::vector<size_t> fast_seq;
-  std::unordered_map<std::vector<Value>, size_t, RowVecHash, RowVecEq> index;
-  std::vector<std::vector<Value>> keys;
-  std::vector<std::vector<AggState>> states;
-  std::vector<size_t> seq;
-  size_t scanned = 0;
-  size_t bytes = 0;
-  size_t matched = 0;
-  SeqFailure pred_fail;
-  SeqFailure fold_fail;
-  // Batch scratch, reused across the shards this accumulator folds.
-  Batch batch;
-  Vec pv;
-  std::vector<Vec> kv;
-  std::vector<Vec> av;
-
-  std::vector<FastIntAgg>& FastGroup(int64_t key, size_t at, size_t aggs) {
-    auto [it, inserted] = fast_index.emplace(key, fast_keys.size());
-    if (inserted) {
-      fast_keys.push_back(key);
-      fast_states.emplace_back(aggs);
-      fast_seq.push_back(at);
-    } else if (at < fast_seq[it->second]) {
-      fast_seq[it->second] = at;
-    }
-    return fast_states[it->second];
-  }
-
-  std::vector<AggState>& Group(std::vector<Value> key, size_t at,
-                               size_t aggs) {
-    auto [it, inserted] = index.emplace(key, keys.size());
-    if (inserted) {
-      keys.push_back(std::move(key));
-      states.emplace_back(aggs);
-      seq.push_back(at);
-    } else if (at < seq[it->second]) {
-      seq[it->second] = at;
-    }
-    return states[it->second];
-  }
-
-  /// Moves the typed groups into the boxed table; their seqs survive,
-  /// so first-seen group order is unchanged.
-  void Demote(size_t aggs) {
-    for (size_t g = 0; g < fast_keys.size(); ++g) {
-      std::vector<AggState>& st =
-          Group({Value::Int(fast_keys[g])}, fast_seq[g], aggs);
-      for (size_t a = 0; a < aggs; ++a) st[a] = fast_states[g][a].ToAggState();
-    }
-    fast_index.clear();
-    fast_keys.clear();
-    fast_states.clear();
-    fast_seq.clear();
-    boxed = true;
-  }
-
-  /// Folds another shard's groups into this one. Exact: the caller's
-  /// hazard gate keeps every state integer, so merge order is moot.
-  void Merge(GroupPartial* other, size_t aggs) {
-    if (!boxed && !other->boxed) {
-      for (size_t g = 0; g < other->fast_keys.size(); ++g) {
-        std::vector<FastIntAgg>& st =
-            FastGroup(other->fast_keys[g], other->fast_seq[g], aggs);
-        for (size_t a = 0; a < aggs; ++a) st[a].Merge(other->fast_states[g][a]);
-      }
-      return;
-    }
-    Demote(aggs);
-    other->Demote(aggs);
-    for (size_t g = 0; g < other->keys.size(); ++g) {
-      std::vector<AggState>& st =
-          Group(std::move(other->keys[g]), other->seq[g], aggs);
-      for (size_t a = 0; a < aggs; ++a) st[a].Merge(other->states[g][a]);
-    }
-  }
-};
 
 }  // namespace
 
@@ -2289,47 +2489,46 @@ std::vector<Acc> Executor::ForEachShard(const storage::Table& table,
   return accs;
 }
 
-Result<ResultSet> Executor::ExecShardScan(const RaNode& node,
-                                          const storage::Table& table) {
-  ResultSet out;
+Result<Executor::Relation> Executor::ExecShardScan(
+    const RaNode& node, const storage::Table& table) {
+  Relation out;
   EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
   const storage::Snapshot snap = ReadSnapshot();
   struct Acc {
-    SeqRows rows;
+    SeqRuns runs;
     size_t bytes = 0;
     Batch batch;
   };
   std::vector<Acc> accs = ForEachShard<Acc>(
       table, FansOut(table), "shard-scan", [&](size_t s, Acc* a) {
-        const ShardScanned before{a->rows.size(), a->bytes};
+        const ShardScanned before{a->runs.rows.size(), a->bytes};
+        a->runs.BeginRun();
         storage::ShardScanCursor cursor(table, s, snap);
         for (size_t n = NextBatch(&cursor, &a->batch); n != 0;
              n = NextBatch(&cursor, &a->batch)) {
           RecordBatch(n);
           a->bytes += a->batch.wire_bytes;
           for (size_t i = 0; i < n; ++i) {
-            a->rows.emplace_back(a->batch.seqs[i],
-                                 std::move(a->batch.rows[i]));
+            a->runs.rows.emplace_back(a->batch.seqs[i], a->batch.rows[i]);
           }
         }
-        return ShardScanned{a->rows.size() - before.rows,
+        return ShardScanned{a->runs.rows.size() - before.rows,
                             a->bytes - before.bytes};
       });
   size_t bytes = 0;
   for (const Acc& a : accs) bytes += a.bytes;
   out.rows = SeqOrderedRows(&accs);
   rows_processed_ += out.rows.size();
-  if (scan_rows_ != nullptr) RecordScan(out.rows.size(), bytes);
+  RecordScan(out.rows.size(), bytes);
   return out;
 }
 
-Result<ResultSet> Executor::ExecShardSelect(const storage::Table& table,
-                                            bool parallel,
-                                            const CompiledExpr& pred,
-                                            const Schema& schema) {
+Result<Executor::Relation> Executor::ExecShardSelect(
+    const storage::Table& table, bool parallel, const CompiledExpr& pred,
+    const Schema& schema) {
   const storage::Snapshot snap = ReadSnapshot();
   struct Acc {
-    SeqRows rows;  // (seq, matched row)
+    SeqRuns runs;  // (seq, matched row)
     size_t scanned = 0;
     size_t bytes = 0;
     SeqFailure fail;
@@ -2343,6 +2542,7 @@ Result<ResultSet> Executor::ExecShardSelect(const storage::Table& table,
   std::vector<Acc> accs = ForEachShard<Acc>(
       table, parallel, "shard-filter", [&](size_t s, Acc* a) {
         const ShardScanned before{a->scanned, a->bytes};
+        a->runs.BeginRun();
         storage::ShardScanCursor cursor(table, s, snap);
         for (size_t n = NextBatch(&cursor, &a->batch); n != 0;
              n = NextBatch(&cursor, &a->batch)) {
@@ -2354,8 +2554,7 @@ Result<ResultSet> Executor::ExecShardSelect(const storage::Table& table,
             a->sel.clear();
             AppendTruthySelection(a->v, &a->sel);
             for (uint32_t i : a->sel) {
-              a->rows.emplace_back(a->batch.seqs[i],
-                                   std::move(a->batch.rows[i]));
+              a->runs.rows.emplace_back(a->batch.seqs[i], a->batch.rows[i]);
             }
             continue;
           }
@@ -2382,21 +2581,20 @@ Result<ResultSet> Executor::ExecShardSelect(const storage::Table& table,
   // filter sees a row, so scan costs land even when the predicate
   // errors.
   rows_processed_ += scanned;
-  if (scan_rows_ != nullptr) RecordScan(scanned, bytes);
+  RecordScan(scanned, bytes);
   if (!fail.ok()) return fail.status;
-  ResultSet out;
+  Relation out;
   out.schema = schema;
   out.rows = SeqOrderedRows(&accs);
   rows_processed_ += out.rows.size();
   return out;
 }
 
-Result<ResultSet> Executor::ExecShardGroupBy(const RaNode& node,
-                                             const storage::Table& table,
-                                             const CompiledGroupBy& plan) {
-  ResultSet out;
+Result<Executor::Relation> Executor::ExecShardGroupBy(
+    const RaNode& node, const storage::Table& table,
+    const CompiledGroupBy& plan) {
+  Relation out;
   EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
-  const size_t aggs = node.aggregates().size();
   const storage::Snapshot snap = ReadSnapshot();
 
   // Cursor order within a shard is not guaranteed seq order, so the
@@ -2407,99 +2605,15 @@ Result<ResultSet> Executor::ExecShardGroupBy(const RaNode& node,
       table, FansOut(table), "shard-aggregate",
       [&](size_t s, GroupPartial* p) {
         const ShardScanned before{p->scanned, p->bytes};
-        // Typed fast path: a single integer group key whose aggregate
-        // inputs are all integer (or COUNT(*), which reads none) folds
-        // through an int64-keyed table with primitive partials. A typed
-        // Vec holds no NULL and no error lanes by construction, so the
-        // fast path cannot diverge from the boxed fold.
-        if (plan.keys.size() != 1) p->boxed = true;
-        p->kv.resize(plan.keys.size());
-        p->av.resize(plan.aggs.size());
+        p->Init(plan.keys.size(), plan.aggs.size());
         storage::ShardScanCursor cursor(table, s, snap);
         for (size_t n = NextBatch(&cursor, &p->batch); n != 0;
              n = NextBatch(&cursor, &p->batch)) {
           RecordBatch(n);
           p->scanned += n;
           p->bytes += p->batch.wire_bytes;
-          const Row* rows = p->batch.rows.data();
-          if (plan.pred != nullptr) plan.pred->Eval(rows, n, &p->pv);
-          for (size_t k = 0; k < plan.keys.size(); ++k) {
-            plan.keys[k]->Eval(rows, n, &p->kv[k]);
-          }
-          for (size_t a = 0; a < aggs; ++a) {
-            if (plan.aggs[a] != nullptr) plan.aggs[a]->Eval(rows, n, &p->av[a]);
-          }
-          if (!p->boxed) {
-            bool typed = p->kv[0].tag == Vec::Tag::kInt &&
-                         (plan.pred == nullptr || !p->pv.has_err);
-            for (size_t a = 0; typed && a < aggs; ++a) {
-              typed = plan.aggs[a] == nullptr || p->av[a].tag == Vec::Tag::kInt;
-            }
-            if (typed) {
-              const int64_t* lanes = p->kv[0].ints.data();
-              const bool pred_bool =
-                  plan.pred != nullptr && p->pv.tag == Vec::Tag::kBool;
-              for (size_t i = 0; i < n; ++i) {
-                if (plan.pred != nullptr) {
-                  const bool truthy = pred_bool ? p->pv.bools[i] != 0
-                                                : IsTruthy(p->pv.At(i));
-                  if (!truthy) continue;
-                  ++p->matched;
-                }
-                std::vector<FastIntAgg>& states =
-                    p->FastGroup(lanes[i], p->batch.seqs[i], aggs);
-                for (size_t a = 0; a < aggs; ++a) {
-                  if (plan.aggs[a] == nullptr) {
-                    ++states[a].count;  // COUNT(*)
-                    continue;
-                  }
-                  states[a].Update(p->av[a].ints[i]);
-                }
-              }
-              continue;
-            }
-            p->Demote(aggs);
-          }
-          for (size_t i = 0; i < n; ++i) {
-            const size_t seq = p->batch.seqs[i];
-            if (plan.pred != nullptr) {
-              if (p->pv.ErrAt(i)) {
-                if (p->pred_fail.Earlier(seq)) {
-                  p->pred_fail.Offer(p->pv.ErrStatus(i), seq);
-                }
-                continue;
-              }
-              if (!IsTruthy(p->pv.At(i))) continue;
-              ++p->matched;
-            }
-            if (!p->fold_fail.Earlier(seq)) continue;
-            // Keys before aggregates, left to right: the row fold's
-            // error order within a row.
-            std::vector<Value> key;
-            key.reserve(p->kv.size());
-            bool lane_failed = false;
-            for (const Vec& v : p->kv) {
-              if (v.ErrAt(i)) {
-                p->fold_fail.Offer(v.ErrStatus(i), seq);
-                lane_failed = true;
-                break;
-              }
-              key.push_back(v.At(i));
-            }
-            if (lane_failed) continue;
-            std::vector<AggState>& states = p->Group(std::move(key), seq, aggs);
-            for (size_t a = 0; a < aggs; ++a) {
-              if (plan.aggs[a] == nullptr) {
-                ++states[a].count;  // COUNT(*)
-                continue;
-              }
-              if (p->av[a].ErrAt(i)) {
-                p->fold_fail.Offer(p->av[a].ErrStatus(i), seq);
-                break;
-              }
-              states[a].Update(p->av[a].At(i));
-            }
-          }
+          p->Fold(plan.pred.get(), plan.keys, plan.aggs, p->batch.rows.data(),
+                  p->batch.seqs.data(), n);
         }
         return ShardScanned{p->scanned - before.rows, p->bytes - before.bytes};
       });
@@ -2519,32 +2633,14 @@ Result<ResultSet> Executor::ExecShardGroupBy(const RaNode& node,
   // The scan's costs land in full before any filter or fold error
   // surfaces, exactly as the serial row engine charges them.
   rows_processed_ += scanned;
-  if (scan_rows_ != nullptr) RecordScan(scanned, bytes);
+  RecordScan(scanned, bytes);
   if (!pred_fail.ok()) return pred_fail.status;
   rows_processed_ += matched;
   if (!fold_fail.ok()) return fold_fail.status;
 
   GroupPartial& total = partials.front();
-  for (size_t i = 1; i < partials.size(); ++i) {
-    total.Merge(&partials[i], aggs);
-  }
-  total.Demote(aggs);
-  // Scalar aggregation (no keys) over empty input produces one row.
-  if (plan.keys.empty() && total.keys.empty()) total.Group({}, 0, aggs);
-
-  std::vector<size_t> order(total.keys.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return total.seq[a] < total.seq[b]; });
-  const auto& specs = node.aggregates();
-  out.rows.reserve(order.size());
-  for (size_t g : order) {
-    Row row = std::move(total.keys[g]);
-    for (size_t a = 0; a < aggs; ++a) {
-      row.push_back(total.states[g][a].Finalize(specs[a].func));
-    }
-    out.rows.push_back(std::move(row));
-  }
+  for (size_t i = 1; i < partials.size(); ++i) total.Merge(&partials[i]);
+  out.Adopt(total.Rows(node.aggregates()));
   rows_processed_ += out.rows.size();
   return out;
 }

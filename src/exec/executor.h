@@ -17,7 +17,9 @@
 namespace eqsql::exec {
 
 /// A fully materialized query result: output schema + rows in result
-/// order (Project preserves input order; Sort imposes one).
+/// order (Project preserves input order; Sort imposes one). The result
+/// owns every row: Execute copies lent scan versions into it, so it
+/// outlives the read pin it was computed under.
 struct ResultSet {
   catalog::Schema schema;
   std::vector<catalog::Row> rows;
@@ -69,7 +71,13 @@ class EvalContext {
 /// attached ReadGuard's pinned MVCC snapshot (storage::Snapshot), so
 /// any number of Executors may run concurrently against one Database
 /// while writers commit new versions: readers never block writers and
-/// never see a half-committed transaction. Plans are
+/// never see a half-committed transaction. Scans lend the visible
+/// versions by pointer (the storage::ShardScanCursor contract) and
+/// operators pass row references up; Execute copies lent rows once, into
+/// the ResultSet it returns. Lent pointers are therefore valid only
+/// under the read pin, so an Executor without a guard (reading at
+/// Snapshot::Latest(), which nobody pins) must not run concurrently
+/// with Database::Vacuum. Plans are
 /// shared_ptr<const RaNode> and are never mutated during execution, so
 /// one cached plan may be executed by many sessions at once. One
 /// Executor instance itself is single-threaded: rows_processed_ is
@@ -157,6 +165,37 @@ class Executor {
   /// `keep` value meaning the caller reads every row.
   static constexpr size_t kKeepAll = static_cast<size_t>(-1);
 
+  /// What an operator subtree hands its parent: the output schema and
+  /// one row reference per result row, in result order. A reference
+  /// either lends a base-table version (the storage::ShardScanCursor
+  /// contract: valid for the whole Execute under the read pin) or
+  /// points into `built`, the rows this subtree constructed. Select,
+  /// Sort, Limit and Dedup filter or permute references and pass
+  /// `built` through (moving a vector keeps its elements in place);
+  /// only Project, Join, OuterApply and GroupBy construct rows, filling
+  /// `built` completely before they point at it. Rows past a top-N
+  /// prefix (see Exec's `keep`) are nullptr. Execute materializes the
+  /// root once into a ResultSet.
+  struct Relation {
+    catalog::Schema schema;
+    std::vector<const catalog::Row*> rows;
+    std::vector<catalog::Row> built;
+
+    // Move-only: a copy of `built` would leave `rows` pointing into the
+    // original.
+    Relation() = default;
+    Relation(Relation&&) = default;
+    Relation& operator=(Relation&&) = default;
+    Relation(const Relation&) = delete;
+    Relation& operator=(const Relation&) = delete;
+
+    /// Takes ownership of `made` as the relation's rows, in order.
+    void Adopt(std::vector<catalog::Row> made);
+  };
+  /// The result boundary: moves the rows the plan built and copies the
+  /// lent ones, in result order.
+  static ResultSet Materialize(Relation rel);
+
   /// Operator dispatch. When a profile is attached, Exec wraps ExecNode
   /// with per-operator bookkeeping (node lookup keyed by plan-node
   /// address, wall time, rows out) and ExecNode does the actual work;
@@ -168,28 +207,28 @@ class Executor {
   /// project just that prefix and leave the remaining rows empty. The
   /// row count, rows_processed_ and profile act_rows stay those of the
   /// full result.
-  Result<ResultSet> Exec(const ra::RaNode& node, EvalContext* ctx,
-                         size_t keep = kKeepAll);
-  Result<ResultSet> ExecNode(const ra::RaNode& node, EvalContext* ctx,
-                             size_t keep);
+  Result<Relation> Exec(const ra::RaNode& node, EvalContext* ctx,
+                        size_t keep = kKeepAll);
+  Result<Relation> ExecNode(const ra::RaNode& node, EvalContext* ctx,
+                            size_t keep);
   /// Row limit a Limit may push into its child as `keep`: the limit when
   /// the child is a Sort or a Project of plain input columns over a
   /// Sort, else kKeepAll.
   size_t TopNKeep(const ra::RaNode& limit) const;
-  Result<ResultSet> ExecProject(const ra::RaNode& node, ResultSet in,
-                                EvalContext* ctx);
+  Result<Relation> ExecProject(const ra::RaNode& node, Relation in,
+                               EvalContext* ctx);
   /// Sort with keys evaluated through CompiledExpr (EvalScalar when one
   /// does not compile). With keep < rows, selects the first `keep` rows
   /// by a partial sort on (key, input position) — the same prefix a
   /// stable full sort yields.
-  Result<ResultSet> ExecSort(const ra::RaNode& node, EvalContext* ctx,
-                             size_t keep);
+  Result<Relation> ExecSort(const ra::RaNode& node, EvalContext* ctx,
+                            size_t keep);
   /// Resolves a table name through the attached ReadGuard first (pinned
   /// snapshot), then the live registry.
   Result<const storage::Table*> ResolveTable(const std::string& name) const;
   /// Unique-key point lookup for Select(Scan); errors with kNotFound
   /// when the fast path does not apply.
-  Result<ResultSet> TryIndexLookup(const ra::RaNode& node, EvalContext* ctx);
+  Result<Relation> TryIndexLookup(const ra::RaNode& node, EvalContext* ctx);
   /// Secondary-index scan for Select(Scan): when the predicate pins a
   /// ready SecondaryIndex's columns to column-free expressions, probes
   /// the index and revalidates each candidate against the read
@@ -198,28 +237,28 @@ class Executor {
   /// rows-processed server term, via Table::VisibleStats) so plan
   /// choice never shows in the deterministic cost model — only in wall
   /// time. kNotFound = inapplicable, caller falls through.
-  Result<ResultSet> TrySecondaryIndexScan(const ra::RaNode& node,
-                                          EvalContext* ctx);
+  Result<Relation> TrySecondaryIndexScan(const ra::RaNode& node,
+                                         EvalContext* ctx);
   /// Index-nested-loop join: right child is a bare Scan whose
   /// equi-join columns exactly cover a ready secondary index. Probes
   /// the index once per left row instead of materializing and hashing
   /// the right side; classification, residual handling, output order
   /// (left order, right insertion order within a key) and cost charges
   /// match the hash join bit for bit. kNotFound = inapplicable.
-  Result<ResultSet> TryIndexNestedLoopJoin(const ra::RaNode& node,
-                                           bool left_outer,
-                                           const ResultSet& left,
-                                           EvalContext* ctx);
+  Result<Relation> TryIndexNestedLoopJoin(const ra::RaNode& node,
+                                          bool left_outer,
+                                          const Relation& left,
+                                          EvalContext* ctx);
   Result<catalog::Value> EvalScalar(const ra::ScalarExprPtr& expr,
                                     EvalContext* ctx);
   /// EvalScalar with (`schema`, `row`) pushed as the innermost frame.
   Result<catalog::Value> EvalOnRow(const ra::ScalarExprPtr& expr,
                                    const catalog::Schema& schema,
                                    const catalog::Row& row, EvalContext* ctx);
-  Result<ResultSet> ExecJoin(const ra::RaNode& node, bool left_outer,
-                             EvalContext* ctx);
-  Result<ResultSet> ExecOuterApply(const ra::RaNode& node, EvalContext* ctx);
-  Result<ResultSet> ExecGroupBy(const ra::RaNode& node, EvalContext* ctx);
+  Result<Relation> ExecJoin(const ra::RaNode& node, bool left_outer,
+                            EvalContext* ctx);
+  Result<Relation> ExecOuterApply(const ra::RaNode& node, EvalContext* ctx);
+  Result<Relation> ExecGroupBy(const ra::RaNode& node, EvalContext* ctx);
 
   /// A group-by whose pieces all compiled for batch evaluation:
   /// optional filter predicate, key expressions, and aggregate
@@ -263,19 +302,19 @@ class Executor {
   /// Vectorized operators over a base table (mode_ == kVector), each one
   /// body over ForEachShard. Each mirrors the serial row engine's
   /// results, error selection, and cost accounting exactly.
-  Result<ResultSet> ExecShardScan(const ra::RaNode& node,
-                                  const storage::Table& table);
-  Result<ResultSet> ExecShardSelect(const storage::Table& table,
-                                    bool parallel, const CompiledExpr& pred,
-                                    const catalog::Schema& schema);
-  Result<ResultSet> ExecShardGroupBy(const ra::RaNode& node,
-                                     const storage::Table& table,
+  Result<Relation> ExecShardScan(const ra::RaNode& node,
+                                 const storage::Table& table);
+  Result<Relation> ExecShardSelect(const storage::Table& table,
+                                   bool parallel, const CompiledExpr& pred,
+                                   const catalog::Schema& schema);
+  Result<Relation> ExecShardGroupBy(const ra::RaNode& node,
+                                    const storage::Table& table,
+                                    const CompiledGroupBy& plan);
+  Result<Relation> FilterVector(Relation in, const CompiledExpr& pred);
+  Result<Relation> ProjectVector(const ra::RaNode& node, Relation in,
+                                 const std::vector<std::unique_ptr<CompiledExpr>>& items);
+  Result<Relation> GroupByVectorFold(const ra::RaNode& node, Relation in,
                                      const CompiledGroupBy& plan);
-  Result<ResultSet> FilterVector(ResultSet in, const CompiledExpr& pred);
-  Result<ResultSet> ProjectVector(const ra::RaNode& node, ResultSet in,
-                                  const std::vector<std::unique_ptr<CompiledExpr>>& items);
-  Result<ResultSet> GroupByVectorFold(const ra::RaNode& node, ResultSet in,
-                                      const CompiledGroupBy& plan);
 
   /// Per-shard counter handles for one fan-out, resolved on the
   /// submitting thread so tasks never take the registry mutex.

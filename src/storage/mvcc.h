@@ -51,9 +51,15 @@ struct Version {
   std::atomic<Ts> begin;
   std::atomic<Ts> end{kTsInfinity};
   catalog::Row row;
+  /// catalog::RowWireSize(row), computed once at install: scans charge
+  /// storage.scan.bytes from it without reading the row's values.
+  size_t wire_bytes;
   std::atomic<Version*> next{nullptr};
 
-  Version(catalog::Row r, Ts begin_ts) : begin(begin_ts), row(std::move(r)) {}
+  Version(catalog::Row r, Ts begin_ts)
+      : begin(begin_ts),
+        row(std::move(r)),
+        wire_bytes(catalog::RowWireSize(row)) {}
 };
 
 /// Whether a version stamped (begin, end) is visible to `snap`.

@@ -403,19 +403,24 @@ std::optional<size_t> Table::LookupByKey(const catalog::Value& key) const {
 
 std::optional<catalog::Row> Table::GetByKey(const catalog::Value& key,
                                             const Snapshot& snap) const {
-  if (!unique_key_.has_value()) return std::nullopt;
+  const catalog::Row* row = LendByKey(key, snap);
+  if (row == nullptr) return std::nullopt;
+  return *row;
+}
+
+const catalog::Row* Table::LendByKey(const catalog::Value& key,
+                                     const Snapshot& snap) const {
+  if (!unique_key_.has_value()) return nullptr;
   std::shared_lock<std::shared_mutex> topology(topology_mu_);
   const Shard& shard = *shards_[ShardOfKey(key)];
   std::shared_ptr<Slot> slot;
   {
     std::shared_lock<std::shared_mutex> sl(shard.struct_mu);
     auto it = shard.index.find(key);
-    if (it == shard.index.end()) return std::nullopt;
+    if (it == shard.index.end()) return nullptr;
     slot = it->second;
   }
-  const catalog::Row* row = slot->VisibleRow(snap);
-  if (row == nullptr) return std::nullopt;
-  return *row;
+  return slot->VisibleRow(snap);
 }
 
 void Table::Clear() {
@@ -450,7 +455,10 @@ Status Table::ForEachRowExclusive(
       if (vis == nullptr) continue;
       // Setup-only in-place mutation: no version is installed, so this
       // must not race snapshot readers (documented in the header).
-      EQSQL_RETURN_IF_ERROR(fn(&const_cast<Version*>(vis)->row));
+      Version* v = const_cast<Version*>(vis);
+      Status status = fn(&v->row);
+      v->wire_bytes = catalog::RowWireSize(v->row);
+      EQSQL_RETURN_IF_ERROR(status);
     }
   }
   BumpStatsEpoch();
@@ -467,16 +475,16 @@ std::vector<std::shared_ptr<const Table::Slot>> Table::PinShard(
 }
 
 size_t ShardScanCursor::Next(size_t max_rows, std::vector<size_t>* seqs,
-                             std::vector<catalog::Row>* rows,
+                             std::vector<const catalog::Row*>* rows,
                              size_t* wire_bytes) {
   size_t produced = 0;
   while (produced < max_rows && pos_ < slots_.size()) {
     const TableSlot& slot = *slots_[pos_++];
-    const catalog::Row* row = slot.VisibleRow(snap_);
-    if (row == nullptr) continue;  // tombstoned / not yet visible
+    const Version* v = slot.VisibleVersion(snap_);
+    if (v == nullptr) continue;  // tombstoned / not yet visible
     seqs->push_back(slot.seq);
-    rows->push_back(*row);  // copy: the version may be vacuumed later
-    *wire_bytes += catalog::RowWireSize(*row);
+    rows->push_back(&v->row);  // lent: see the contract in table.h
+    *wire_bytes += v->wire_bytes;
     ++produced;
   }
   return produced;
@@ -692,10 +700,10 @@ TableScanStats Table::VisibleStats(const Snapshot& snap) const {
         local = shard->slots;
       }
       for (const auto& slot : local) {
-        const catalog::Row* row = slot->VisibleRow(snap);
-        if (row == nullptr) continue;
+        const Version* v = slot->VisibleVersion(snap);
+        if (v == nullptr) continue;
         ++stats.rows;
-        stats.bytes += catalog::RowWireSize(*row);
+        stats.bytes += v->wire_bytes;
       }
     }
   }

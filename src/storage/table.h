@@ -56,7 +56,7 @@ struct TableSlot {
 
 /// An in-memory multi-version heap table, hash-partitioned across N
 /// shards. Each logical row is a TableSlot holding a chain of versions
-/// stamped with begin/end commit timestamps; a scan materializes the
+/// stamped with begin/end commit timestamps; a scan reads the
 /// versions visible to a snapshot and orders them by insertion
 /// sequence, so the observable row order is insertion order regardless
 /// of the shard count (the paper's π operator preserves input order,
@@ -163,6 +163,11 @@ class Table : public std::enable_shared_from_this<Table> {
   }
   std::optional<catalog::Row> GetByKey(const catalog::Value& key,
                                        const Snapshot& snap) const;
+  /// GetByKey without the copy: the visible version's row, lent under
+  /// the ShardScanCursor contract (valid while `snap` stays pinned), or
+  /// nullptr if absent / no key declared.
+  const catalog::Row* LendByKey(const catalog::Value& key,
+                                const Snapshot& snap) const;
 
   void Clear();
 
@@ -361,26 +366,45 @@ class Table : public std::enable_shared_from_this<Table> {
 };
 
 /// Batch-producing MVCC scan over one shard: pins the shard's slots
-/// once, then materializes the versions visible to `snap` a chunk at a
+/// once, then hands out the versions visible to `snap` a chunk at a
 /// time (the vectorized engine's scan source; exec/batch.h sizes the
-/// chunks). Rows are copied out of their version chains — Vacuum may
-/// retire superseded versions while the cursor is live, so borrowed
-/// pointers would be unsafe past the pin. Visibility is resolved at
-/// chunk granularity against the cursor's fixed snapshot, which makes
-/// every chunk of one cursor mutually consistent: the pinned slot list
-/// plus per-version begin/end stamps mean a row committed, deleted, or
-/// tombstoned after the pin never flickers in or out between chunks.
+/// chunks). Visibility is resolved at chunk granularity against the
+/// cursor's fixed snapshot, which makes every chunk of one cursor
+/// mutually consistent: the pinned slot list plus per-version begin/end
+/// stamps mean a row committed, deleted, or tombstoned after the pin
+/// never flickers in or out between chunks.
+///
+/// Lending contract. Next yields each visible row by pointer into its
+/// immutable Version; nothing is copied. The pointer stays valid, after
+/// the cursor itself is gone, for as long as `snap` stays pinned in the
+/// table's TxnManager (a storage::ReadGuard, or the reading
+/// transaction's own lifetime pin), because GC never takes a version a
+/// pinned snapshot can see:
+///  * Vacuum unlinks only aborted versions and versions whose committed
+///    end is at or below the watermark, the oldest pinned snapshot; a
+///    version visible to `snap` has an end above snap.ts, or a pending
+///    one, which Vacuum never touches (MvccTest.
+///    VacuumNeverReclaimsLiveVisibleVersions). Its slot therefore keeps
+///    a live chain and is never removed, so it is never freed either.
+///  * A version a pinned reader can see is never on the retire list, so
+///    SweepRetired never frees it.
+/// The executor borrows lent rows for one Execute under its ReadGuard
+/// and copies them only into the result it returns. A reader at a
+/// snapshot nobody pinned (Snapshot::Latest(), unguarded tooling and
+/// tests) must not run concurrently with Vacuum, Clear, or
+/// ForEachRowExclusive, exactly as before lending.
 class ShardScanCursor {
  public:
   ShardScanCursor(const Table& table, size_t shard, Snapshot snap)
       : slots_(table.PinShard(shard)), snap_(snap) {}
 
-  /// Appends up to `max_rows` visible rows (with their insertion seqs,
-  /// accumulating wire size into *wire_bytes) and returns how many were
-  /// produced; 0 means the shard is exhausted. Output order is slot
-  /// order, NOT seq order — callers merge-sort by seq across shards.
+  /// Appends up to `max_rows` visible rows (their insertion seqs and
+  /// lent row pointers, accumulating wire size into *wire_bytes) and
+  /// returns how many were produced; 0 means the shard is exhausted.
+  /// Output order is slot order, NOT seq order — callers merge-sort by
+  /// seq across shards.
   size_t Next(size_t max_rows, std::vector<size_t>* seqs,
-              std::vector<catalog::Row>* rows, size_t* wire_bytes);
+              std::vector<const catalog::Row*>* rows, size_t* wire_bytes);
 
  private:
   std::vector<std::shared_ptr<const TableSlot>> slots_;

@@ -257,6 +257,12 @@ TEST(ExplainAnalyzeTest, DirectConnectionRendersEstimatesBesideActuals) {
   // estimator annotated every executed node, so no "-" placeholders.
   EXPECT_NE(report.find("act_rows="), std::string::npos) << report;
   EXPECT_NE(report.find("rows_in="), std::string::npos) << report;
+  // The fused GroupBy scanned all 200 rows; the input count needs no
+  // metrics registry (a bare Connection has none).
+  const size_t group_by = report.find("GroupBy ");
+  ASSERT_NE(group_by, std::string::npos) << report;
+  EXPECT_NE(report.find("rows_in=200 ", group_by), std::string::npos)
+      << report;
   EXPECT_NE(report.find("execs="), std::string::npos) << report;
   EXPECT_EQ(report.find("est_rows=-"), std::string::npos) << report;
   EXPECT_EQ(report.find("est_ms=-"), std::string::npos) << report;

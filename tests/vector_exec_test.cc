@@ -652,6 +652,122 @@ Result<std::string> RunProgram(const fuzz::FuzzCase& c, size_t shards,
   return out.str();
 }
 
+// ---------------------------------------------------------------------------
+// Lending edge cases. A scan lends its visible MVCC versions by pointer
+// and operators pass the references up until Execute copies them into
+// the result. These scripts reuse one lent version in two places, keep
+// lent rows across a top-N padding boundary, push lent rows as outer
+// frames, and lend a transaction's own pending versions. Each script
+// runs on both engines at 1 and 4 shards, without and with a pool at
+// threshold 0, on a fresh database per run, and every run must render
+// identically: rows, status, simulated_ms and storage.scan.*.
+
+std::string RunLendingScript(size_t rows, size_t shards,
+                             exec::WorkerPool* pool, exec::ExecMode mode,
+                             const std::vector<net::Request>& script) {
+  storage::DatabaseOptions dbo;
+  dbo.shard_count = shards;
+  storage::Database db(dbo);
+  MakeFact(&db, rows);
+  obs::MetricsRegistry reg;
+  net::Connection conn(&db);
+  conn.set_exec_mode(mode);
+  conn.set_metrics(&reg);
+  if (pool != nullptr) {
+    conn.set_worker_pool(pool);
+    conn.set_parallel_threshold(0);
+  }
+  std::string out;
+  for (const net::Request& req : script) {
+    net::Outcome o = conn.Perform(req);
+    const obs::MetricsSnapshot snap = reg.Snapshot();
+    auto counter = [&](const char* name) {
+      auto it = snap.counters.find(name);
+      return it == snap.counters.end() ? int64_t{0} : it->second;
+    };
+    out += req.sql + "\n" + RenderOutcome(o, conn.stats()) +
+           "scan rows=" + std::to_string(counter("storage.scan.rows")) +
+           " bytes=" + std::to_string(counter("storage.scan.bytes")) + "\n";
+  }
+  return out;
+}
+
+/// `rows` defaults past one batch (kBatchCapacity) so lent references
+/// cross a chunk boundary.
+void ExpectLendingParity(const std::vector<net::Request>& script,
+                         size_t rows = 1100) {
+  exec::WorkerPool pool(2);
+  std::string reference;
+  for (size_t shards : kEdgeShardCounts) {
+    for (exec::ExecMode mode :
+         {exec::ExecMode::kRow, exec::ExecMode::kVector}) {
+      for (exec::WorkerPool* p :
+           {static_cast<exec::WorkerPool*>(nullptr), &pool}) {
+        const std::string run =
+            RunLendingScript(rows, shards, p, mode, script);
+        EXPECT_EQ(run.find("error: "), std::string::npos) << run;
+        if (reference.empty()) reference = run;
+        EXPECT_EQ(run, reference)
+            << "shards=" << shards << " mode=" << exec::ExecModeName(mode)
+            << (p != nullptr ? " pooled" : " serial");
+      }
+    }
+  }
+}
+
+TEST(VectorExecTest, LendingSelfJoinReadsOneVersionOnBothSides) {
+  ExpectLendingParity({
+      net::Request::Query("SELECT a.id AS aid, b.id AS bid, b.v AS bv "
+                          "FROM fact AS a JOIN fact AS b ON a.id = b.id "
+                          "WHERE a.v > 10"),
+      net::Request::Query("SELECT a.id AS aid, b.name AS bn FROM fact AS a "
+                          "JOIN fact AS b ON a.fk = b.id AND b.v < a.v "
+                          "WHERE a.id < 40"),
+      net::Request::Query("SELECT a.id AS aid, b.id AS bid FROM fact AS a "
+                          "LEFT OUTER JOIN fact AS b ON a.nv = b.id "
+                          "WHERE a.v > 15"),
+  });
+}
+
+TEST(VectorExecTest, LendingTopNPaddingOverLentSelect) {
+  ExpectLendingParity({
+      net::Request::Query("SELECT m.id AS id, m.name AS name FROM fact AS m "
+                          "WHERE m.v > 3 ORDER BY m.w DESC, m.v LIMIT 5"),
+      net::Request::Query("SELECT m.id AS id FROM fact AS m WHERE m.v > 3 "
+                          "ORDER BY m.v LIMIT 2000"),
+      net::Request::Query("SELECT * FROM fact AS m WHERE m.fk = 2 "
+                          "ORDER BY m.id DESC LIMIT 0"),
+  });
+}
+
+TEST(VectorExecTest, LendingCorrelatedFramesOverLentRows) {
+  ExpectLendingParity({
+      net::Request::Query("SELECT m.id AS id FROM fact AS m WHERE m.id < 40 "
+                          "AND EXISTS (SELECT p.id AS id FROM fact AS p "
+                          "WHERE p.id = m.nv AND p.v > m.v)"),
+      net::Request::Query("SELECT m.id AS id, pv FROM fact AS m "
+                          "OUTER APPLY (SELECT p.v AS pv FROM fact AS p "
+                          "WHERE p.id = m.nv AND p.v < m.w) WHERE m.id < 40"),
+  }, /*rows=*/300);
+}
+
+TEST(VectorExecTest, LendingPendingVersionsThenRollback) {
+  ExpectLendingParity({
+      net::Request::Begin(),
+      net::Request::Dml("UPDATE fact SET v = v + 100 WHERE fk = 1"),
+      net::Request::Query("SELECT m.id AS id, m.v AS v FROM fact AS m "
+                          "WHERE m.v > 80 ORDER BY m.v DESC LIMIT 7"),
+      net::Request::Query("SELECT m.fk, SUM(m.v) AS s FROM fact AS m "
+                          "GROUP BY m.fk"),
+      net::Request::Query("SELECT a.id AS aid, b.v AS bv FROM fact AS a "
+                          "JOIN fact AS b ON a.id = b.id WHERE a.fk = 1 "
+                          "AND b.v > 100"),
+      net::Request::Rollback(),
+      net::Request::Query("SELECT m.fk, SUM(m.v) AS s FROM fact AS m "
+                          "GROUP BY m.fk"),
+  });
+}
+
 TEST(VectorExecTest, EveryFuzzerFamilyAgreesAcrossModes) {
   constexpr fuzz::Family kFamilies[] = {
       fuzz::Family::kFilterCollect, fuzz::Family::kScalarAgg,
