@@ -130,12 +130,6 @@ void AnnotateJoinPlans(const CostEstimator& estimator, bool any_index,
 
 }  // namespace
 
-double AlternativeSelector::LoopClientMs(double outer_rows) const {
-  // Mirrors CostEstimator::RewriteWins: the application's own per-row
-  // work (cursor advance, result handling, merge bookkeeping).
-  return model_.client_cost_per_op_ms * outer_rows * 4.0;
-}
-
 ExtractionPlan AlternativeSelector::Select(
     std::shared_ptr<const OptimizeResult> optimized,
     const frontend::Function* original, const PlanResolver& resolve,
@@ -165,11 +159,10 @@ ExtractionPlan AlternativeSelector::Select(
       for (const std::string& sql : o.sql) {
         ++queries;
         Result<ra::RaNodePtr> q = resolve(sql);
-        if (q.ok()) {
-          ms += estimator_.EstimateQuery(*q).Milliseconds(model_);
-        } else {
-          ms += model_.round_trip_latency_ms + model_.query_overhead_ms;
-        }
+        // A query that does not resolve still pays its statement.
+        ms += model_.Price(q.ok() ? estimator_.EstimateQuery(*q).charge
+                                  : net::Charge{.round_trips = 1,
+                                                .statements = 1});
       }
     }
     extracted.est_cost_ms = ms;
@@ -205,17 +198,18 @@ ExtractionPlan AlternativeSelector::Select(
     if (bouter.ok()) {
       CostEstimate outer_est = estimator_.EstimateQuery(*bouter);
       outer_rows = outer_est.cardinality;
-      ms += outer_est.Milliseconds(model_);
+      ms += model_.Price(outer_est.charge);
     } else {
-      ms += model_.round_trip_latency_ms + model_.query_overhead_ms +
-            model_.ServerMs(static_cast<size_t>(outer_rows)) +
-            model_.TransferMs(
-                static_cast<size_t>(outer_rows * kDefaultRowWidth));
+      ms += model_.Price({.round_trips = 1,
+                          .statements = 1,
+                          .bytes = outer_rows * kDefaultRowWidth,
+                          .server_rows = outer_rows});
     }
-    ms += model_.param_table_overhead_ms + model_.round_trip_latency_ms +
-          model_.TransferMs(static_cast<size_t>(
-              outer_rows * kParamCellBytes *
-              static_cast<double>(1 + bplan.param_columns)));
+    ms += model_.Price(
+        {.round_trips = 1,
+         .param_tables = 1,
+         .bytes = outer_rows * kParamCellBytes *
+                  static_cast<double>(1 + bplan.param_columns)});
     for (const baselines::BatchSite& site : bplan.sites) {
       const std::string table = AsciiToLower(site.inner_table);
       auto rows_it = stats_.table_rows.find(table);
@@ -228,11 +222,12 @@ ExtractionPlan AlternativeSelector::Select(
           bytes_it != stats_.row_bytes.end()
               ? static_cast<double>(bytes_it->second)
               : kDefaultRowWidth;
-      ms += model_.round_trip_latency_ms + model_.query_overhead_ms +
-            model_.ServerMs(static_cast<size_t>(inner_rows + outer_rows)) +
-            model_.TransferMs(static_cast<size_t>(outer_rows * inner_width));
+      ms += model_.Price({.round_trips = 1,
+                          .statements = 1,
+                          .bytes = outer_rows * inner_width,
+                          .server_rows = inner_rows + outer_rows});
     }
-    ms += LoopClientMs(outer_rows);
+    ms += model_.Price(ClientLoopCharge(outer_rows));
     batching.est_cost_ms = ms;
     batching.detail = std::to_string(bplan.sites.size()) +
                       " probe site(s) over " + RowsDetail(outer_rows);
@@ -253,18 +248,18 @@ ExtractionPlan AlternativeSelector::Select(
   if (outer_plan.ok()) {
     CostEstimate loop_est =
         estimator_.EstimateLoop(*outer_plan, probe.queries_per_row);
-    interp.est_cost_ms =
-        loop_est.Milliseconds(model_) + LoopClientMs(loop_est.cardinality);
-    interp.detail = std::to_string(loop_est.round_trips) +
+    interp.est_cost_ms = model_.Price(
+        ClientLoopCharge(loop_est.cardinality, loop_est.charge));
+    interp.detail = std::to_string(loop_est.charge.round_trips) +
                     " round trip(s) over " + RowsDetail(loop_est.cardinality);
   } else if (extracted.feasible) {
     // No query-backed loop to price: the imperative strategy costs what
     // its queries cost (the loop itself stays client-side).
-    interp.est_cost_ms =
-        extracted.est_cost_ms + LoopClientMs(kDefaultOuterRows);
+    interp.est_cost_ms = extracted.est_cost_ms +
+                         model_.Price(ClientLoopCharge(kDefaultOuterRows));
     interp.detail = "no query-backed loop; priced as the extracted queries";
   } else {
-    interp.est_cost_ms = model_.round_trip_latency_ms;
+    interp.est_cost_ms = model_.Price({.round_trips = 1});
     interp.detail = "no query-backed loop";
   }
 

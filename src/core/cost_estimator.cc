@@ -62,13 +62,6 @@ void CollectEqColumnRefs(const ra::ScalarExprPtr& pred,
 
 }  // namespace
 
-double CostEstimate::Milliseconds(const net::CostModel& model) const {
-  return static_cast<double>(round_trips) * model.round_trip_latency_ms +
-         static_cast<double>(round_trips) * model.query_overhead_ms +
-         model.TransferMs(static_cast<size_t>(bytes)) +
-         model.ServerMs(static_cast<size_t>(rows_processed));
-}
-
 CostEstimator::NodeEstimate CostEstimator::Walk(const RaNode& node) const {
   switch (node.op()) {
     case RaOp::kScan: {
@@ -169,9 +162,10 @@ CostEstimate CostEstimator::EstimateQuery(const RaNodePtr& plan) const {
   NodeEstimate est = Walk(*plan);
   CostEstimate out;
   out.cardinality = est.rows;
-  out.rows_processed = est.processed;
-  out.round_trips = 1;
-  out.bytes = est.rows * est.row_bytes;
+  out.charge = {.round_trips = 1,
+                .statements = 1,
+                .bytes = est.rows * est.row_bytes,
+                .server_rows = est.processed};
   return out;
 }
 
@@ -180,11 +174,13 @@ CostEstimate CostEstimator::EstimateLoop(const RaNodePtr& outer,
   NodeEstimate est = Walk(*outer);
   CostEstimate out;
   out.cardinality = est.rows * (1.0 + queries_per_row);
-  out.rows_processed = est.processed + est.rows * queries_per_row;
-  out.round_trips = 1 + static_cast<int64_t>(est.rows) * queries_per_row;
+  const int64_t trips = 1 + static_cast<int64_t>(est.rows) * queries_per_row;
   // The outer rows plus one (typically narrow) row per inner query.
-  out.bytes = est.rows * est.row_bytes +
-              est.rows * queries_per_row * kDefaultRowBytes;
+  out.charge = {.round_trips = trips,
+                .statements = trips,
+                .bytes = est.rows * est.row_bytes +
+                         est.rows * queries_per_row * kDefaultRowBytes,
+                .server_rows = est.processed + est.rows * queries_per_row};
   return out;
 }
 
@@ -232,11 +228,11 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
   // The index alternative replaces the inner side's full materialization
   // with one probe per outer row; everything above the join is shared.
   double delta = right.processed - left.rows;
-  CostEstimate index = scan;
-  index.rows_processed = std::max(0.0, scan.rows_processed - delta);
+  net::Charge index = scan.charge;
+  index.server_rows = std::max(0.0, scan.charge.server_rows - delta);
   out.applicable = true;
-  out.scan_ms = scan.Milliseconds(model_);
-  out.index_ms = index.Milliseconds(model_);
+  out.scan_ms = model_.Price(scan.charge);
+  out.index_ms = model_.Price(index);
   out.index_wins = out.index_ms < out.scan_ms;
   out.detail = table + "(";
   for (size_t i = 0; i < index_cols->size(); ++i) {
@@ -249,12 +245,10 @@ JoinPlanChoice CostEstimator::ChooseJoinPlan(const RaNodePtr& plan) const {
 
 bool CostEstimator::RewriteWins(const RaNodePtr& plan, const RaNodePtr& outer,
                                 int queries_per_row) const {
-  double rewritten = EstimateQuery(plan).Milliseconds(model_);
   CostEstimate loop = EstimateLoop(outer, queries_per_row);
   // The imperative loop also pays client work per iterated row.
-  double original = loop.Milliseconds(model_) +
-                    model_.client_cost_per_op_ms * loop.cardinality * 4.0;
-  return rewritten < original;
+  return model_.Price(EstimateQuery(plan).charge) <
+         model_.Price(ClientLoopCharge(loop.cardinality, loop.charge));
 }
 
 }  // namespace eqsql::core

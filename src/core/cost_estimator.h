@@ -25,17 +25,25 @@ struct TableStats {
   std::map<std::string, std::vector<std::vector<std::string>>> table_indexes;
 };
 
-/// Estimated execution profile of one strategy.
+/// Estimated execution profile of one strategy: the rows it ships to
+/// the client plus the charge it would pay. The charge is the type
+/// net::Connection pays at run time, so net::CostModel::Price prices an
+/// estimate and an actual run with the same formula.
 struct CostEstimate {
-  double cardinality = 0;     // rows the client receives
-  double rows_processed = 0;  // server-side work
-  int64_t round_trips = 0;
-  double bytes = 0;
-
-  /// Simulated milliseconds under `model` (same formula as
-  /// net::Connection charges at run time).
-  double Milliseconds(const net::CostModel& model) const;
+  double cardinality = 0;  // rows the client receives
+  net::Charge charge;
 };
+
+/// Client statements the imperative loop interprets per iterated row
+/// (cursor advance, result handling, merge bookkeeping): the client
+/// work a set-oriented rewrite saves.
+inline constexpr double kClientOpsPerLoopRow = 4.0;
+
+/// `base` plus the client-side charge of iterating `loop_rows` rows.
+inline net::Charge ClientLoopCharge(double loop_rows, net::Charge base = {}) {
+  base.client_ops += loop_rows * kClientOpsPerLoopRow;
+  return base;
+}
 
 /// Physical-plan decision for the first indexable equi-join in a plan:
 /// both alternatives priced under the same deterministic cost model so
@@ -55,9 +63,9 @@ struct JoinPlanChoice {
 /// A Volcano-flavoured cost estimator over relational-algebra plans:
 /// cardinalities propagate bottom-up with textbook selectivity guesses
 /// (selection 1/3, equi-join via containment on the larger side,
-/// group-by sqrt, point lookup 1), and the resulting profile is priced
-/// with the same deterministic cost model the simulated connection
-/// charges. The estimator powers the cost-based variant of the Sec. 5.3
+/// group-by sqrt, point lookup 1), and the resulting charge is priced
+/// by the same net::CostModel::Price the simulated connection pays
+/// through. The estimator powers the cost-based variant of the Sec. 5.3
 /// replace-or-not decision (paper App. C).
 class CostEstimator {
  public:

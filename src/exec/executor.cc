@@ -992,22 +992,32 @@ Result<Value> Executor::EvalOnRow(const ScalarExprPtr& expr,
 
 Result<Executor::Relation> Executor::Exec(const RaNode& node,
                                           EvalContext* ctx, size_t keep) {
-  if (profile_ == nullptr) return ExecNode(node, ctx, keep);
   // Look up (or create) this plan node's profile entry under the
   // current operator; correlated subqueries and OuterApply re-enter the
   // same plan node, which folds into one entry with execs > 1. Wall
   // time is inclusive of children and never touches the simulated
   // clock, so cost parity holds with profiling on or off.
   obs::ProfileNode* parent = prof_cur_;
-  obs::ProfileNode* me =
-      profile_->ChildFor(parent, &node, ra::RaOpToString(node.op()));
-  prof_cur_ = me;
-  const int64_t t0 = NowNs();
+  obs::ProfileNode* me = nullptr;
+  int64_t t0 = 0;
+  if (profile_ != nullptr) {
+    me = profile_->ChildFor(parent, &node, ra::RaOpToString(node.op()));
+    prof_cur_ = me;
+    t0 = NowNs();
+  }
   Result<Relation> out = ExecNode(node, ctx, keep);
-  me->wall_ns += NowNs() - t0;
-  me->execs += 1;
-  if (out.ok()) me->rows_out += static_cast<int64_t>(out->rows.size());
-  prof_cur_ = parent;
+  // The one row rule: an operator's output rows, top-N padding
+  // included, are charged here and nowhere else. A Scan's output is
+  // its base-table read, which ChargeScan charged.
+  if (out.ok() && node.op() != RaOp::kScan) {
+    rows_processed_ += out->rows.size();
+  }
+  if (me != nullptr) {
+    me->wall_ns += NowNs() - t0;
+    me->execs += 1;
+    if (out.ok()) me->rows_out += static_cast<int64_t>(out->rows.size());
+    prof_cur_ = parent;
+  }
   return out;
 }
 
@@ -1021,12 +1031,11 @@ Result<Executor::Relation> Executor::ExecNode(const RaNode& node,
       Relation out;
       EQSQL_ASSIGN_OR_RETURN(out.schema, OutputSchema(node));
       out.Adopt(table->rows(ReadSnapshot()));
-      rows_processed_ += out.rows.size();
       size_t bytes = 0;
       if (scan_rows_ != nullptr) {
         for (const Row& row : out.built) bytes += catalog::RowWireSize(row);
       }
-      RecordScan(out.rows.size(), bytes);
+      ChargeScan(out.rows.size(), bytes);
       return out;
     }
     case RaOp::kSelect: {
@@ -1092,7 +1101,6 @@ Result<Executor::Relation> Executor::ExecNode(const RaNode& node,
         if (IsTruthy(*pred)) in.rows[kept++] = row;
       }
       in.rows.resize(kept);
-      rows_processed_ += kept;
       return in;
     }
     case RaOp::kProject: {
@@ -1100,12 +1108,11 @@ Result<Executor::Relation> Executor::ExecNode(const RaNode& node,
       const size_t rows = in.rows.size();
       if (keep >= rows) return ExecProject(node, std::move(in), ctx);
       // Top-N: project only the prefix the Limit reads; the padding rows
-      // keep the row count (and its charges) of the full projection.
+      // keep the row count (and so the charge) of the full projection.
       in.rows.resize(keep);
       EQSQL_ASSIGN_OR_RETURN(Relation out,
                              ExecProject(node, std::move(in), ctx));
       out.rows.resize(rows, nullptr);
-      rows_processed_ += rows - keep;
       return out;
     }
     case RaOp::kJoin:
@@ -1134,7 +1141,6 @@ Result<Executor::Relation> Executor::ExecNode(const RaNode& node,
         if (seen.insert(row).second) in.rows[kept++] = row;
       }
       in.rows.resize(kept);
-      rows_processed_ += kept;
       return in;
     }
     case RaOp::kLimit: {
@@ -1144,7 +1150,6 @@ Result<Executor::Relation> Executor::ExecNode(const RaNode& node,
           in.rows.size() > static_cast<size_t>(node.limit())) {
         in.rows.resize(static_cast<size_t>(node.limit()));
       }
-      rows_processed_ += in.rows.size();
       return in;
     }
   }
@@ -1192,7 +1197,6 @@ Result<Executor::Relation> Executor::ExecProject(const RaNode& node,
     made.push_back(std::move(projected));
   }
   out.Adopt(std::move(made));
-  rows_processed_ += out.rows.size();
   return out;
 }
 
@@ -1331,7 +1335,6 @@ Result<Executor::Relation> Executor::ExecSort(const RaNode& node,
   std::vector<const Row*> rows(n, nullptr);
   for (size_t i = 0; i < sorted; ++i) rows[i] = in.rows[order[i]];
   in.rows = std::move(rows);
-  rows_processed_ += n;
   return in;
 }
 
@@ -1399,7 +1402,9 @@ Result<Executor::Relation> Executor::TryIndexLookup(const RaNode& node,
     }
     if (pass) out.rows.push_back(hit);
   }
-  rows_processed_ += 1;  // index probe, not a scan
+  // A probe charges one row, not a scan: the row it returns, which Exec
+  // charges as the output, or on a miss the probed key.
+  if (out.rows.empty()) rows_processed_ += 1;
   if (prof_cur_ != nullptr) prof_cur_->label = "KeyLookup";
   return out;
 }
@@ -1492,9 +1497,9 @@ Result<Executor::Relation> Executor::TrySecondaryIndexScan(
   }
 
   const storage::Snapshot snap = ReadSnapshot();
-  // Cost parity: charge exactly what the serial full scan plus filter
-  // would — the plan choice shows up in wall time and in the
-  // storage.index.* / exec.index.* counters, never in simulated cost.
+  // Cost parity: charge exactly what the full scan plus filter would —
+  // the plan choice shows up in wall time and in the storage.index.* /
+  // exec.index.* counters, never in simulated cost.
   const storage::TableScanStats stats = table->VisibleStats(snap);
   std::vector<std::shared_ptr<const storage::TableSlot>> candidates =
       index->Probe(key);
@@ -1527,9 +1532,7 @@ Result<Executor::Relation> Executor::TrySecondaryIndexScan(
     }
     out.rows.push_back(visible);
   }
-  rows_processed_ += stats.rows;
-  RecordScan(stats.rows, stats.bytes);
-  rows_processed_ += out.rows.size();
+  ChargeScan(stats.rows, stats.bytes);
   if (index_scans_ != nullptr) index_scans_->Increment();
   if (prof_cur_ != nullptr) prof_cur_->label = "IndexScan";
   return out;
@@ -1591,8 +1594,7 @@ Result<Executor::Relation> Executor::TryIndexNestedLoopJoin(
   const storage::Snapshot snap = ReadSnapshot();
   // Charge the right side exactly as the scan it replaces would have.
   const storage::TableScanStats stats = table->VisibleStats(snap);
-  rows_processed_ += stats.rows;
-  RecordScan(stats.rows, stats.bytes);
+  ChargeScan(stats.rows, stats.bytes);
 
   Relation out;
   out.schema = left.schema.Concat(right_schema);
@@ -1663,7 +1665,6 @@ Result<Executor::Relation> Executor::TryIndexNestedLoopJoin(
     if (left_outer && !matched) made.push_back(PadRight(lrow, null_right));
   }
   out.Adopt(std::move(made));
-  rows_processed_ += out.rows.size();
   if (prof_cur_ != nullptr) prof_cur_->label = "IndexNestedLoopJoin";
   return out;
 }
@@ -1705,7 +1706,6 @@ Result<Executor::Relation> Executor::ExecJoin(const RaNode& node,
       if (left_outer && !matched) made.push_back(PadRight(*lrow, null_right));
     }
     out.Adopt(std::move(made));
-    rows_processed_ += out.rows.size();
     return out;
   }
 
@@ -1770,7 +1770,6 @@ Result<Executor::Relation> Executor::ExecJoin(const RaNode& node,
     if (left_outer && !matched) made.push_back(PadRight(lrow, null_right));
   }
   out.Adopt(std::move(made));
-  rows_processed_ += out.rows.size();
   return out;
 }
 
@@ -1796,7 +1795,6 @@ Result<Executor::Relation> Executor::ExecOuterApply(const RaNode& node,
     }
   }
   out.Adopt(std::move(made));
-  rows_processed_ += out.rows.size();
   return out;
 }
 
@@ -1954,7 +1952,6 @@ Result<Executor::Relation> Executor::ExecGroupBy(const RaNode& node,
     made.push_back(std::move(row));
   }
   out.Adopt(std::move(made));
-  rows_processed_ += out.rows.size();
   return out;
 }
 
@@ -2285,7 +2282,6 @@ Result<Executor::Relation> Executor::FilterVector(Relation in,
     }
   }
   in.rows.resize(kept);
-  rows_processed_ += kept;
   return in;
 }
 
@@ -2315,7 +2311,6 @@ Result<Executor::Relation> Executor::ProjectVector(
     }
   }
   out.Adopt(std::move(made));
-  rows_processed_ += out.rows.size();
   return out;
 }
 
@@ -2362,7 +2357,6 @@ Result<Executor::Relation> Executor::GroupByVectorFold(
     if (!p.fold_fail.ok()) return p.fold_fail.status;
   }
   out.Adopt(p.Rows(node.aggregates()));
-  rows_processed_ += out.rows.size();
   return out;
 }
 
@@ -2518,8 +2512,7 @@ Result<Executor::Relation> Executor::ExecShardScan(
   size_t bytes = 0;
   for (const Acc& a : accs) bytes += a.bytes;
   out.rows = SeqOrderedRows(&accs);
-  rows_processed_ += out.rows.size();
-  RecordScan(out.rows.size(), bytes);
+  ChargeScan(out.rows.size(), bytes);
   return out;
 }
 
@@ -2580,13 +2573,11 @@ Result<Executor::Relation> Executor::ExecShardSelect(
   // The row engine materializes and charges the entire scan before the
   // filter sees a row, so scan costs land even when the predicate
   // errors.
-  rows_processed_ += scanned;
-  RecordScan(scanned, bytes);
+  ChargeScan(scanned, bytes);
   if (!fail.ok()) return fail.status;
   Relation out;
   out.schema = schema;
   out.rows = SeqOrderedRows(&accs);
-  rows_processed_ += out.rows.size();
   return out;
 }
 
@@ -2631,9 +2622,10 @@ Result<Executor::Relation> Executor::ExecShardGroupBy(
     fold_fail.Offer(p.fold_fail);
   }
   // The scan's costs land in full before any filter or fold error
-  // surfaces, exactly as the serial row engine charges them.
-  rows_processed_ += scanned;
-  RecordScan(scanned, bytes);
+  // surfaces, exactly as the serial row engine charges them. An
+  // absorbed Select never runs through Exec, so its output (the matched
+  // rows; none without one) is charged here.
+  ChargeScan(scanned, bytes);
   if (!pred_fail.ok()) return pred_fail.status;
   rows_processed_ += matched;
   if (!fold_fail.ok()) return fold_fail.status;
@@ -2641,7 +2633,6 @@ Result<Executor::Relation> Executor::ExecShardGroupBy(
   GroupPartial& total = partials.front();
   for (size_t i = 1; i < partials.size(); ++i) total.Merge(&partials[i]);
   out.Adopt(total.Rows(node.aggregates()));
-  rows_processed_ += out.rows.size();
   return out;
 }
 

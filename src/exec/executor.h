@@ -157,8 +157,9 @@ class Executor {
   /// in outer joins / outer apply and by the SQL generator).
   Result<catalog::Schema> OutputSchema(const ra::RaNode& node) const;
 
-  /// Number of rows produced by all operators during the last Execute
-  /// (a crude work counter used by the net/ cost model's server term).
+  /// Rows produced by all operators during the last Execute, each
+  /// operator's output counted once, base-table reads as their Scan's
+  /// output (the net/ cost model's server_rows).
   size_t last_rows_processed() const { return rows_processed_; }
 
  private:
@@ -196,10 +197,10 @@ class Executor {
   /// lent ones, in result order.
   static ResultSet Materialize(Relation rel);
 
-  /// Operator dispatch. When a profile is attached, Exec wraps ExecNode
-  /// with per-operator bookkeeping (node lookup keyed by plan-node
-  /// address, wall time, rows out) and ExecNode does the actual work;
-  /// without one, Exec tail-calls ExecNode.
+  /// Operator dispatch. Exec wraps ExecNode (the actual work) with the
+  /// one row rule, charging each operator's output rows once (reads
+  /// charge through ChargeScan), and with per-operator profile
+  /// bookkeeping (node keyed by plan-node address, wall time, rows out).
   ///
   /// `keep` is the top-N contract: the caller (a Limit) reads only rows
   /// [0, keep). Only Limit passes it, and only to a Sort or to a
@@ -332,7 +333,12 @@ class Executor {
     return guard_ != nullptr ? guard_->snapshot() : storage::Snapshot::Latest();
   }
 
-  void RecordScan(size_t rows, size_t bytes) {
+  /// The one charge for a base-table read: rows_processed_,
+  /// storage.scan.* and the profile's rows_in together. It is a Scan's
+  /// output charge, also for an operator that reads the table in place
+  /// of the Scan node below it (fused select/group-by, index scan, INLJ).
+  void ChargeScan(size_t rows, size_t bytes) {
+    rows_processed_ += rows;
     if (scan_rows_ != nullptr) {
       scan_rows_->Add(static_cast<int64_t>(rows));
       scan_bytes_->Add(static_cast<int64_t>(bytes));

@@ -103,7 +103,8 @@ Outcome Connection::Perform(Request req) {
       return Outcome::FromRowCount(*n);
     }
     case Kind::kSimulateDml:
-      SimulateUpdateImpl(req.sql);
+      // A statement round trip carrying the text; nothing executes.
+      ChargeStatement(req.sql.size(), /*server_rows=*/0);
       return Outcome::FromRowCount(0);
     case Kind::kBegin:
     case Kind::kCommit:
@@ -173,41 +174,28 @@ Result<exec::ResultSet> Connection::QueryPlannedImpl(
   // parameter payload.
   size_t request_bytes = plan->ToString().size();
   for (const catalog::Value& p : params) request_bytes += p.WireSize();
-  size_t result_bytes = rs.WireSize();
-
-  ++stats_.queries_executed;
-  stats_.rows_transferred += static_cast<int64_t>(rs.rows.size());
-  stats_.bytes_transferred +=
-      static_cast<int64_t>(request_bytes + result_bytes);
+  const size_t bytes = request_bytes + rs.WireSize();
 
   if (trace_enabled_) {
     QueryTrace t;
     t.sql = pending_sql_.empty() ? plan->ToString() : pending_sql_;
     t.rows = static_cast<int64_t>(rs.rows.size());
-    t.bytes = static_cast<int64_t>(request_bytes + result_bytes);
+    t.bytes = static_cast<int64_t>(bytes);
     trace_.push_back(std::move(t));
   }
   pending_sql_.clear();
 
-  double elapsed = model_.query_overhead_ms +
-                   model_.TransferMs(request_bytes + result_bytes) +
-                   model_.ServerMs(executor_.last_rows_processed());
-  bool pay_latency = true;
-  if (prefetch_mode_ && prefetch_primed_) pay_latency = false;
-  if (pay_latency) {
-    elapsed += model_.round_trip_latency_ms;
-    ++stats_.round_trips;
-  }
+  // Under prefetching only the first query of a run waits out the RTT.
+  const bool pay_latency = !(prefetch_mode_ && prefetch_primed_);
   prefetch_primed_ = prefetch_mode_;
-  stats_.simulated_ms += elapsed;
-  PublishStats();
+  stats_.rows_transferred += static_cast<int64_t>(rs.rows.size());
+  Pay({.round_trips = pay_latency ? 1 : 0,
+       .statements = 1,
+       .bytes = static_cast<double>(bytes),
+       .server_rows = static_cast<double>(executor_.last_rows_processed())});
 
   if (m_queries_ != nullptr) {
-    m_queries_->Increment();
-    if (pay_latency) m_round_trips_->Increment();
     m_rows_transferred_->Add(static_cast<int64_t>(rs.rows.size()));
-    m_bytes_transferred_->Add(
-        static_cast<int64_t>(request_bytes + result_bytes));
     m_rows_processed_->Add(
         static_cast<int64_t>(executor_.last_rows_processed()));
     m_query_ns_->Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -264,7 +252,7 @@ Outcome Connection::ExplainAnalyzeImpl(
           core::CostEstimator::NodeEstimate est =
               estimator.EstimateNode(*ra_node);
           n->est_rows = est.rows;
-          n->est_cost_ms = model_.ServerMs(static_cast<size_t>(est.processed));
+          n->est_cost_ms = model_.Price({.server_rows = est.processed});
         }
         for (auto& child : n->children) annotate(child.get());
       };
@@ -277,23 +265,6 @@ Outcome Connection::ExplainAnalyzeImpl(
   payload.text = obs::RenderAnalyzeText(profile, mode, rows);
   payload.json = obs::RenderAnalyzeJson(profile, mode, rows);
   return Outcome::FromExplain(std::move(payload));
-}
-
-void Connection::SimulateUpdateImpl(std::string_view sql) {
-  DebugCheckThreadOwner();
-  ++stats_.queries_executed;
-  ++stats_.round_trips;
-  stats_.bytes_transferred += static_cast<int64_t>(sql.size());
-  stats_.simulated_ms += model_.round_trip_latency_ms +
-                         model_.query_overhead_ms +
-                         model_.TransferMs(sql.size());
-  PublishStats();
-  if (m_queries_ != nullptr) {
-    m_queries_->Increment();
-    m_round_trips_->Increment();
-    m_dml_statements_->Increment();
-    m_bytes_transferred_->Add(static_cast<int64_t>(sql.size()));
-  }
 }
 
 Result<int64_t> Connection::DmlImpl(
@@ -520,19 +491,27 @@ Result<int64_t> Connection::CreateIndexImpl(std::string_view sql) {
 }
 
 void Connection::ChargeStatement(size_t request_bytes, size_t server_rows) {
-  ++stats_.queries_executed;
-  ++stats_.round_trips;
-  stats_.bytes_transferred += static_cast<int64_t>(request_bytes);
-  stats_.simulated_ms += model_.round_trip_latency_ms +
-                         model_.query_overhead_ms +
-                         model_.TransferMs(request_bytes) +
-                         model_.ServerMs(server_rows);
+  Pay({.round_trips = 1,
+       .statements = 1,
+       .bytes = static_cast<double>(request_bytes),
+       .server_rows = static_cast<double>(server_rows)});
+  if (m_dml_statements_ != nullptr) m_dml_statements_->Increment();
+}
+
+void Connection::Pay(const Charge& charge) {
+  DebugCheckThreadOwner();
+  const auto bytes = static_cast<int64_t>(charge.bytes);
+  stats_.queries_executed += charge.statements;
+  stats_.round_trips += charge.round_trips;
+  stats_.bytes_transferred += bytes;
+  stats_.simulated_ms += model_.Price(charge);
   PublishStats();
-  if (m_queries_ != nullptr) {
-    m_queries_->Increment();
-    m_round_trips_->Increment();
-    m_dml_statements_->Increment();
-    m_bytes_transferred_->Add(static_cast<int64_t>(request_bytes));
+  // A charge with neither a statement nor a round trip is client work,
+  // paid once per interpreted statement: it moves no net.* counter.
+  if (m_queries_ != nullptr && charge.statements + charge.round_trips != 0) {
+    m_queries_->Add(charge.statements);
+    m_round_trips_->Add(charge.round_trips);
+    m_bytes_transferred_->Add(bytes);
   }
 }
 
@@ -552,16 +531,9 @@ Status Connection::CreateTempTable(const std::string& name,
     EQSQL_RETURN_IF_ERROR(table->Insert(std::move(row)));
   }
   db_->PublishTable(std::move(table));
-  ++stats_.round_trips;
-  stats_.bytes_transferred += static_cast<int64_t>(upload_bytes);
-  stats_.simulated_ms += model_.param_table_overhead_ms +
-                         model_.round_trip_latency_ms +
-                         model_.TransferMs(upload_bytes);
-  PublishStats();
-  if (m_round_trips_ != nullptr) {
-    m_round_trips_->Increment();
-    m_bytes_transferred_->Add(static_cast<int64_t>(upload_bytes));
-  }
+  Pay({.round_trips = 1,
+       .param_tables = 1,
+       .bytes = static_cast<double>(upload_bytes)});
   return Status::OK();
 }
 

@@ -102,10 +102,7 @@ class Connection : public Client {
   /// Charges client-side computation (interpreted statements executed
   /// by the application) onto the simulated clock.
   void ChargeClientOps(int64_t ops) override {
-    DebugCheckThreadOwner();
-    stats_.simulated_ms +=
-        model_.client_cost_per_op_ms * static_cast<double>(ops);
-    PublishStats();
+    Pay({.client_ops = static_cast<double>(ops)});
   }
 
   /// Creates a server-side temporary table and loads `rows` into it,
@@ -233,7 +230,6 @@ class Connection : public Client {
   /// serialization validation fails (the transaction is already rolled
   /// back by then).
   Outcome TxnControlImpl(Request::Kind kind, TxnContext* txn_ctx);
-  void SimulateUpdateImpl(std::string_view sql);
   /// CREATE INDEX name ON table (col, ...): builds a secondary hash
   /// index through storage::Table::CreateIndex, fanning the per-shard
   /// backfill across the attached worker pool (serial without one).
@@ -254,9 +250,13 @@ class Connection : public Client {
                              TxnContext* txn_ctx);
 
   /// Charges one round-trip statement of `request_bytes` with
-  /// `server_rows` of server-side work onto the simulated clock and the
-  /// net.* counters (the shared accounting of DML and txn control).
+  /// `server_rows` of server-side work (the shared accounting of DML,
+  /// DDL, txn control and simulated updates): Pay plus net.dml_statements.
   void ChargeStatement(size_t request_bytes, size_t server_rows);
+
+  /// The one place a charge lands: its counts onto ConnectionStats and
+  /// the net.* counters, its CostModel::Price onto the simulated clock.
+  void Pay(const Charge& charge);
 
   /// Latches the calling thread as owner on first use; asserts (debug
   /// builds) that every later stats-mutating call is from that thread.

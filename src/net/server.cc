@@ -90,11 +90,7 @@ void Server::CloseSession(int64_t id, const ConnectionStats& session_stats) {
   std::lock_guard<std::mutex> lock(mu_);
   live_sessions_.erase(id);
   ++sessions_closed_;
-  totals_.queries_executed += session_stats.queries_executed;
-  totals_.round_trips += session_stats.round_trips;
-  totals_.rows_transferred += session_stats.rows_transferred;
-  totals_.bytes_transferred += session_stats.bytes_transferred;
-  totals_.simulated_ms += session_stats.simulated_ms;
+  totals_ += session_stats;
   max_session_simulated_ms_ =
       std::max(max_session_simulated_ms_, session_stats.simulated_ms);
 }
@@ -111,11 +107,7 @@ ServerStats Server::stats() const {
     // published (complete up to the last finished operation).
     for (const auto& [id, conn] : live_sessions_) {
       ConnectionStats live = conn->ApproxStats();
-      out.totals.queries_executed += live.queries_executed;
-      out.totals.round_trips += live.round_trips;
-      out.totals.rows_transferred += live.rows_transferred;
-      out.totals.bytes_transferred += live.bytes_transferred;
-      out.totals.simulated_ms += live.simulated_ms;
+      out.totals += live;
       out.max_session_simulated_ms =
           std::max(out.max_session_simulated_ms, live.simulated_ms);
     }
@@ -126,11 +118,7 @@ ServerStats Server::stats() const {
   // with the closed-session aggregate above.
   if (scheduler_ != nullptr) {
     for (const ConnectionStats& link : scheduler_->WorkerStats()) {
-      out.totals.queries_executed += link.queries_executed;
-      out.totals.round_trips += link.round_trips;
-      out.totals.rows_transferred += link.rows_transferred;
-      out.totals.bytes_transferred += link.bytes_transferred;
-      out.totals.simulated_ms += link.simulated_ms;
+      out.totals += link;
       out.max_session_simulated_ms =
           std::max(out.max_session_simulated_ms, link.simulated_ms);
     }

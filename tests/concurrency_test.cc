@@ -606,14 +606,16 @@ func phones(m) {
 }
 
 /// Scans lend MVCC versions by pointer for the whole query. Two reader
-/// sessions loop over the lending shapes (Sort+Limit, a filter, a hash
-/// join and a group-by, all fanned out over 4 shards) while a writer
-/// re-stamps the very rows they read with value-preserving UPDATEs and
-/// vacuums after every commit, so versions a reader has lent are
-/// superseded, retired and swept mid-query. A reader's pin keeps its
-/// own versions alive, so every result must equal the fixed bag the
-/// quiet database produced; under ASan a lent version freed too early
-/// shows up as a use-after-free.
+/// sessions loop over the lending shapes of served and analytic
+/// traffic (Sort+Limit, a filter, a hash join, a group-by, a LEFT OUTER
+/// JOIN under a GROUP BY, an index nested-loop join and a correlated
+/// OUTER APPLY, all over 4 shards) while a writer re-stamps the very
+/// rows they read with value-preserving UPDATEs, deletes and re-inserts
+/// a row in the same transaction, and vacuums after every commit, so
+/// versions a reader has lent are superseded, retired and swept
+/// mid-query. A reader's pin keeps its own versions alive, so every
+/// result must equal the fixed bag the quiet database produced; under
+/// ASan a lent version freed too early shows up as a use-after-free.
 TEST(ServerStressTest, LentRowsSurviveConcurrentVacuum) {
   constexpr int kReaders = 2;
   constexpr int kIters = 80;
@@ -646,6 +648,12 @@ TEST(ServerStressTest, LentRowsSurviveConcurrentVacuum) {
             .ok());
   }
 
+  // The index on t.v turns the join on t.v into an index nested-loop
+  // join; the joins on t.g stay hash joins.
+  ASSERT_TRUE(server.Connect()
+                  ->Execute(Request::CreateIndex("CREATE INDEX t_v ON t (v)"))
+                  .ok());
+
   const std::vector<std::string> queries = {
       "SELECT t.id AS id, t.name AS name FROM t AS t WHERE t.v > 500 "
       "ORDER BY t.v DESC LIMIT 6",
@@ -654,6 +662,13 @@ TEST(ServerStressTest, LentRowsSurviveConcurrentVacuum) {
       "ON t.g = d.id WHERE t.v < 200",
       "SELECT t.g AS g, SUM(t.v) AS s, COUNT(*) AS c FROM t AS t "
       "GROUP BY t.g",
+      "SELECT d.id AS id, d.label AS label, COUNT(t.id) AS c, "
+      "SUM(t.v) AS s FROM d AS d LEFT OUTER JOIN t AS t ON t.g = d.id "
+      "GROUP BY d.id, d.label",
+      "SELECT d.label AS label, t.name AS name FROM d AS d JOIN t AS t "
+      "ON t.v = d.id * 100",
+      "SELECT * FROM d AS d OUTER APPLY (SELECT MAX(t.v) AS m FROM t AS t "
+      "WHERE t.g = d.id)",
   };
   auto bag = [](const exec::ResultSet& rs) {
     std::multiset<std::string> rows;
@@ -671,6 +686,12 @@ TEST(ServerStressTest, LentRowsSurviveConcurrentVacuum) {
       ASSERT_FALSE(rs->rows.empty()) << sql;
       expected.push_back(bag(*rs));
     }
+    Outcome inlj = session->Execute(
+        Request::ExplainAnalyze("EXPLAIN ANALYZE " + queries[5]));
+    ASSERT_TRUE(inlj.ok()) << inlj.status.ToString();
+    ASSERT_NE(inlj.explain.text.find("IndexNestedLoopJoin"),
+              std::string::npos)
+        << inlj.explain.text;
   }
 
   std::atomic<int> readers_left{kReaders};
@@ -683,6 +704,17 @@ TEST(ServerStressTest, LentRowsSurviveConcurrentVacuum) {
       Outcome upd = session->Execute(Request::Dml(
           "UPDATE t SET v = v WHERE g = " + std::to_string(round % 7)));
       EXPECT_TRUE(upd.ok()) << upd.status.ToString();
+      // The same row, deleted and re-inserted: a new slot and version
+      // replace the one a reader may have lent.
+      const int64_t id = (round * 13) % 1500;
+      Outcome del = session->Execute(
+          Request::Dml("DELETE FROM t WHERE id = " + std::to_string(id)));
+      EXPECT_TRUE(del.ok()) << del.status.ToString();
+      Outcome ins = session->Execute(Request::Dml(
+          "INSERT INTO t VALUES (" + std::to_string(id) + ", " +
+          std::to_string(id % 7) + ", " + std::to_string((id * 37) % 1000) +
+          ", 'r" + std::to_string(id) + "')"));
+      EXPECT_TRUE(ins.ok()) << ins.status.ToString();
       EXPECT_TRUE(session->Execute(Request::Commit()).ok());
       commits.fetch_add(1);
       db->Vacuum();

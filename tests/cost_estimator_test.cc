@@ -21,9 +21,9 @@ TEST(CostEstimatorTest, SelectionShrinksCardinalityAndBytes) {
   CostEstimate filtered =
       est.EstimateQuery(Q("SELECT t.a AS a FROM t WHERE t.v > 10"));
   EXPECT_LT(filtered.cardinality, scan.cardinality);
-  EXPECT_LT(filtered.bytes, scan.bytes);
-  EXPECT_LT(filtered.Milliseconds(est.model()),
-            scan.Milliseconds(est.model()));
+  EXPECT_LT(filtered.charge.bytes, scan.charge.bytes);
+  EXPECT_LT(est.model().Price(filtered.charge),
+            est.model().Price(scan.charge));
 }
 
 TEST(CostEstimatorTest, PointPredicateEstimatesOneRow) {
@@ -31,7 +31,7 @@ TEST(CostEstimatorTest, PointPredicateEstimatesOneRow) {
   CostEstimate lookup =
       est.EstimateQuery(Q("SELECT * FROM t WHERE t.id = 7"));
   EXPECT_DOUBLE_EQ(lookup.cardinality, 1.0);
-  EXPECT_LT(lookup.rows_processed, 10.0);
+  EXPECT_LT(lookup.charge.server_rows, 10.0);
 }
 
 TEST(CostEstimatorTest, ScalarAggregateShipsOneRow) {
@@ -39,21 +39,21 @@ TEST(CostEstimatorTest, ScalarAggregateShipsOneRow) {
   CostEstimate agg = est.EstimateQuery(Q("SELECT MAX(t.v) AS m FROM t"));
   EXPECT_DOUBLE_EQ(agg.cardinality, 1.0);
   // Still processes the whole table server-side.
-  EXPECT_GE(agg.rows_processed, 50000.0);
+  EXPECT_GE(agg.charge.server_rows, 50000.0);
 }
 
 TEST(CostEstimatorTest, LoopPaysPerRowRoundTrips) {
   CostEstimator est = MakeEstimator(1000);
   CostEstimate loop =
       est.EstimateLoop(Q("SELECT * FROM applicants"), /*queries_per_row=*/4);
-  EXPECT_EQ(loop.round_trips, 1 + 1000 * 4);
+  EXPECT_EQ(loop.charge.round_trips, 1 + 1000 * 4);
   CostEstimate apply = est.EstimateQuery(
       Q("SELECT * FROM applicants AS a OUTER APPLY (SELECT d.phone AS p "
         "FROM details AS d WHERE d.aid = a.id)"));
-  EXPECT_EQ(apply.round_trips, 1);
+  EXPECT_EQ(apply.charge.round_trips, 1);
   // The App. C decision: one apply query beats N*4 round trips.
-  EXPECT_LT(apply.Milliseconds(est.model()),
-            loop.Milliseconds(est.model()));
+  EXPECT_LT(est.model().Price(apply.charge),
+            est.model().Price(loop.charge));
 }
 
 TEST(CostEstimatorTest, RewriteWinsTracksScale) {
@@ -84,7 +84,7 @@ TEST(CostEstimatorTest, UnknownTableUsesDefaults) {
   CostEstimator est(TableStats{}, net::CostModel());
   CostEstimate scan = est.EstimateQuery(Q("SELECT * FROM mystery"));
   EXPECT_GT(scan.cardinality, 0);
-  EXPECT_GT(scan.bytes, 0);
+  EXPECT_GT(scan.charge.bytes, 0);
 }
 
 }  // namespace

@@ -203,7 +203,7 @@ TEST(ExplainAnalyzeTest, ShardSlotsReconcileWithNodeTotals) {
     exec::WorkerPool pool(2);
     conn.set_worker_pool(&pool);
     conn.set_parallel_threshold(0);
-    // Profile charges ride the same RecordScan/RecordBatch calls as the
+    // Profile charges ride the same ChargeScan/RecordBatch calls as the
     // registry counters, so wire metrics exactly as the server stack does.
     obs::MetricsRegistry reg;
     conn.set_metrics(&reg);
